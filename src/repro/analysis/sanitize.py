@@ -51,9 +51,9 @@ class SanitizingSimulator(Simulator):
     Checks (beyond the base class's scheduling-in-the-past and re-entrant
     ``run`` errors):
 
-    * every ``delay`` / ``time`` passed to :meth:`schedule` / :meth:`at` is
-      a plain integer — floats (SIM003 at runtime) and bools are rejected
-      with the target callback named;
+    * every ``delay`` / ``time`` passed to :meth:`schedule`, :meth:`at` or
+      :meth:`schedule_fast` is a plain integer — floats (SIM003 at
+      runtime) and bools are rejected with the target callback named;
     * the event clock is monotonically non-decreasing across fired events
       (a violation means someone mutated handle/heap state behind the
       kernel's back).
@@ -77,6 +77,11 @@ class SanitizingSimulator(Simulator):
     def at(self, time: int, callback: Callable[..., None], *args: Any):
         self._check_time_value("at", "time", time, callback)
         return super().at(time, callback, *args)
+
+    def schedule_fast(self, delay: int, callback: Callable[..., None],
+                      *args: Any) -> None:
+        self._check_time_value("schedule_fast", "delay", delay, callback)
+        super().schedule_fast(delay, callback, *args)
 
     @staticmethod
     def _check_time_value(method: str, argname: str, value: Any,

@@ -15,8 +15,7 @@ from collections import deque
 from typing import Callable, Dict, Optional, Tuple
 
 from ..net.node import Host
-from ..net.packet import (DEFAULT_HEADER_BYTES, ECT_CAPABLE, PACKET_POOL,
-                          Packet)
+from ..net.packet import DEFAULT_HEADER_BYTES, ECT_CAPABLE, Packet
 from ..sim.engine import Timer
 from ..sim.units import microseconds
 from .cc import PathletCcManager
@@ -112,10 +111,6 @@ class MtpStack(TransportStack):
             endpoint._handle_data(packet, header)
         else:
             endpoint._handle_ack(packet, header)
-            # Control packets are terminal here and their shells came from
-            # the pool (non-pool packets are a no-op); the header object is
-            # never recycled, so feedback lists stay valid.
-            PACKET_POOL.release(packet)
 
 
 class MtpEndpoint:
@@ -388,7 +383,7 @@ class MtpEndpoint:
                         ts=self.sim.now, ts_echo=header.ts)
         ack.sack.append((header.msg_id, header.pkt_num))
         ack.ack_path_feedback = list(header.path_feedback)
-        ack_packet = PACKET_POOL.acquire(
+        ack_packet = Packet(
             self.stack.host.address, packet.src, ACK_SIZE,
             "mtp", header=ack, ecn=ECT_CAPABLE,
             entity=packet.entity,
@@ -404,7 +399,7 @@ class MtpEndpoint:
         nack.nack.append((msg_id, pkt_num))
         if feedback_path:
             nack.ack_path_feedback = list(feedback_path)
-        packet = PACKET_POOL.acquire(
+        packet = Packet(
             self.stack.host.address, dst_address, ACK_SIZE,
             "mtp", header=nack, ecn=ECT_CAPABLE, created_at=self.sim.now)
         self.stack.send_packet(packet)

@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, List, Optional, Tuple
 
-__all__ = ["Packet", "PacketPool", "PACKET_POOL",
-           "ECT_NOT_CAPABLE", "ECT_CAPABLE", "ECT_CE",
+__all__ = ["Packet", "ECT_NOT_CAPABLE", "ECT_CAPABLE", "ECT_CE",
            "MTU", "DEFAULT_HEADER_BYTES"]
 
 #: Conventional Ethernet-style MTU used throughout the experiments.
@@ -49,7 +48,7 @@ class Packet:
 
     __slots__ = ("src", "dst", "size", "protocol", "header", "ecn",
                  "flow_label", "entity", "created_at", "uid", "hops",
-                 "pooled", "corrupted")
+                 "corrupted")
 
     def __init__(self, src: int, dst: int, size: int, protocol: str,
                  header: Any = None, ecn: int = ECT_NOT_CAPABLE,
@@ -68,9 +67,6 @@ class Packet:
         self.created_at = created_at
         self.uid = next(_packet_ids)
         self.hops: List[str] = []
-        #: True while the packet shell is on loan from a :class:`PacketPool`
-        #: (set by :meth:`PacketPool.acquire`, cleared by ``release``).
-        self.pooled = False
         #: Set by corruption faults; checked (as a checksum stand-in) by
         #: receiving hosts, which drop damaged packets instead of
         #: delivering garbage to the transport.
@@ -90,97 +86,3 @@ class Packet:
         mark = " CE" if self.marked else ""
         return (f"<Packet #{self.uid} {self.protocol} {self.src}->{self.dst} "
                 f"{self.size}B{mark}>")
-
-
-class PacketPool:
-    """Free-list of :class:`Packet` shells for allocation-heavy hot paths.
-
-    ``acquire(...)`` hands out a fully re-initialised packet (fresh
-    ``uid``, cleared ``hops``, new field values — behaviourally identical
-    to ``Packet(...)``); ``release(packet)`` returns the *shell* to the
-    free list once nothing references the packet object any more.  Only
-    the shell is recycled: header objects are never reused, so references
-    retained to a released packet's header (payloads, feedback lists)
-    stay valid.
-
-    Releasing is safe exactly when the caller owns the last reference —
-    the idiomatic site is a transport that has just finished processing a
-    received control packet (see ``MtpStack.handle_packet``).  Packets
-    not acquired from a pool are ignored by :meth:`release`, so consumers
-    can unconditionally release whatever reaches them.
-
-    Pool reuse does not perturb determinism: ``uid`` comes from the same
-    global counter as direct construction, so replay digests and ledger
-    accounting see an identical stream either way.
-    """
-
-    __slots__ = ("_free", "max_free", "acquired", "reused", "released")
-
-    def __init__(self, max_free: int = 4096):
-        self._free: List[Packet] = []
-        #: Cap on the free list; releases beyond it fall to the GC.
-        self.max_free = max_free
-        self.acquired = 0  #: total acquire() calls
-        self.reused = 0    #: acquisitions served from the free list
-        self.released = 0  #: shells accepted back
-
-    def acquire(self, src: int, dst: int, size: int, protocol: str,
-                header: Any = None, ecn: int = ECT_NOT_CAPABLE,
-                flow_label: Optional[Tuple] = None, entity: str = "",
-                created_at: int = 0) -> Packet:
-        """A packet initialised exactly like ``Packet(...)``, pool-marked."""
-        if size <= 0:
-            raise ValueError(f"packet size must be positive, got {size}")
-        self.acquired += 1
-        free = self._free
-        if not free:
-            packet = Packet(src, dst, size, protocol, header=header,
-                            ecn=ecn, flow_label=flow_label, entity=entity,
-                            created_at=created_at)
-            packet.pooled = True
-            return packet
-        self.reused += 1
-        packet = free.pop()
-        packet.src = src
-        packet.dst = dst
-        packet.size = size
-        packet.protocol = protocol
-        packet.header = header
-        packet.ecn = ecn
-        packet.flow_label = (flow_label if flow_label is not None
-                             else (src, dst))
-        packet.entity = entity
-        packet.created_at = created_at
-        packet.uid = next(_packet_ids)
-        packet.hops.clear()
-        packet.pooled = True
-        packet.corrupted = False
-        return packet
-
-    def release(self, packet: Packet) -> None:
-        """Return a pool-acquired shell to the free list (else a no-op).
-
-        The caller must hold the last live reference; the shell's header
-        is dropped (header objects are never recycled).
-        """
-        if not packet.pooled:
-            return
-        packet.pooled = False  # double-release becomes a no-op
-        packet.header = None
-        self.released += 1
-        if len(self._free) < self.max_free:
-            self._free.append(packet)
-
-    def free_count(self) -> int:
-        """Shells currently parked on the free list."""
-        return len(self._free)
-
-    def __repr__(self) -> str:
-        return (f"<PacketPool free={len(self._free)} "
-                f"acquired={self.acquired} reused={self.reused}>")
-
-
-#: Process-wide default pool used by the transports' control-packet hot
-#: paths (MTP ACK/NACK).  Like ``Packet.uid``'s counter it is global by
-#: design; a released shell belongs to no simulation.
-PACKET_POOL = PacketPool()

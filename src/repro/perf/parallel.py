@@ -18,13 +18,8 @@ Determinism contract:
 * ``jobs <= 1`` short-circuits to a plain in-process loop, keeping
   single-process debugging (pdb, coverage, profilers) trivial.
 
-Robustness contract (opt-in via ``timeout_s`` / ``retries`` /
-``partial``): a crashed worker process is retried with capped backoff, a
-point that exceeds its per-item timeout is recorded and skipped, and in
-partial mode the campaign returns everything that completed plus a
-structured :class:`SweepFailure` per casualty instead of aborting.  On a
-healthy run the robust path produces *exactly* the same ordered results
-as the plain path (one ``submit`` per item, consumed in input order).
+A worker exception propagates to the caller as itself, serial or
+parallel.
 
 Worker processes are started with the ``fork`` method where the
 platform offers it: the simulation kernel holds no threads or open
@@ -35,95 +30,13 @@ per worker.
 from __future__ import annotations
 
 import multiprocessing
-import time
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as \
-    FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
-from typing import (Callable, List, Optional, Sequence, Tuple, TypeVar)
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, List, Sequence, TypeVar
 
-__all__ = ["sweep_map", "SweepFailure", "SweepOutcome", "SweepError"]
+__all__ = ["sweep_map"]
 
 _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
-
-#: Base sleep before respawning a broken pool (doubles per retry, capped).
-_RETRY_BACKOFF_S = 0.05
-_RETRY_BACKOFF_CAP_S = 2.0
-
-
-class SweepFailure:
-    """Structured record of one sweep point that did not produce a result.
-
-    Attributes:
-        index: position of the item in the input sequence.
-        item: the sweep point itself.
-        kind: ``"timeout"``, ``"crash"``, or ``"error"``.
-        attempts: how many times the point was tried.
-        error: stringified exception (empty for timeouts).
-    """
-
-    __slots__ = ("index", "item", "kind", "attempts", "error")
-
-    def __init__(self, index: int, item, kind: str, attempts: int,
-                 error: str = ""):
-        self.index = index
-        self.item = item
-        self.kind = kind
-        self.attempts = attempts
-        self.error = error
-
-    def as_dict(self) -> dict:
-        """Plain-dict form for JSON campaign reports."""
-        return {"index": self.index, "item": repr(self.item),
-                "kind": self.kind, "attempts": self.attempts,
-                "error": self.error}
-
-    def __repr__(self) -> str:
-        return (f"<SweepFailure #{self.index} {self.kind} "
-                f"attempts={self.attempts}>")
-
-
-class SweepOutcome:
-    """Results of a partial-mode sweep: completed points plus casualties.
-
-    ``results[i]`` is the worker's result for ``items[i]``, or ``None``
-    when that point failed (its :class:`SweepFailure` is in
-    ``failures``).  ``ok`` is True when nothing failed, in which case
-    ``results`` equals the plain ``sweep_map`` output exactly.
-    """
-
-    __slots__ = ("results", "failures")
-
-    def __init__(self, results: List, failures: List[SweepFailure]):
-        self.results = results
-        self.failures = failures
-
-    @property
-    def ok(self) -> bool:
-        """True when every point completed."""
-        return not self.failures
-
-    def completed(self) -> List:
-        """Just the successful results, input order preserved."""
-        failed = {failure.index for failure in self.failures}
-        return [result for index, result in enumerate(self.results)
-                if index not in failed]
-
-    def __repr__(self) -> str:
-        return (f"<SweepOutcome ok={self.ok} "
-                f"results={len(self.results)} "
-                f"failures={len(self.failures)}>")
-
-
-class SweepError(RuntimeError):
-    """A sweep point failed and ``partial`` mode was off."""
-
-    def __init__(self, failure: SweepFailure):
-        super().__init__(
-            f"sweep point #{failure.index} failed "
-            f"({failure.kind} after {failure.attempts} attempt(s))"
-            + (f": {failure.error}" if failure.error else ""))
-        self.failure = failure
 
 
 def _context() -> multiprocessing.context.BaseContext:
@@ -136,10 +49,7 @@ def _context() -> multiprocessing.context.BaseContext:
 
 def sweep_map(worker: Callable[[_ItemT], _ResultT],
               items: Sequence[_ItemT],
-              jobs: int = 1,
-              timeout_s: Optional[float] = None,
-              retries: int = 0,
-              partial: bool = False):
+              jobs: int = 1) -> List[_ResultT]:
     """Map ``worker`` over ``items``, optionally across processes.
 
     Args:
@@ -150,142 +60,17 @@ def sweep_map(worker: Callable[[_ItemT], _ResultT],
         jobs: worker process count.  ``<= 1`` runs serially in-process;
             larger values are clamped to ``len(items)`` so no idle
             workers are spawned.
-        timeout_s: optional wall-clock budget per item (parallel runs
-            only); a point exceeding it is recorded as a ``"timeout"``
-            failure and its pool is recycled.
-        retries: how many times a point whose worker *process died*
-            (``"crash"``) is retried, with capped exponential backoff
-            before each pool respawn.  Ordinary worker exceptions are
-            never retried — a deterministic worker would fail again.
-        partial: return a :class:`SweepOutcome` carrying completed
-            results plus structured failure records instead of raising
-            on the first casualty.
 
     Returns:
-        With the robustness knobs at their defaults, the plain list
         ``[worker(item) for item in items]`` — same values, same order,
-        regardless of ``jobs``.  With ``partial=True`` (or a timeout or
-        retry budget), a :class:`SweepOutcome`.
-
-    Raises:
-        SweepError: a point failed, ``partial`` was off, and the failure
-            carried no exception of its own to re-raise (timeouts,
-            crashes).  Worker exceptions propagate as themselves.
+        regardless of ``jobs``.
     """
     items = list(items)
-    robust = timeout_s is not None or retries > 0 or partial
     if jobs <= 1 or len(items) <= 1:
-        if not robust:
-            return [worker(item) for item in items]
-        return _serial_robust(worker, items, partial)
-    if not robust:
-        workers = min(jobs, len(items))
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=_context()) as pool:
-            # executor.map preserves input order: the merge is
-            # deterministic even though completion order is not.
-            return list(pool.map(worker, items, chunksize=1))
-    return _parallel_robust(worker, items, min(jobs, len(items)),
-                            timeout_s, retries, partial)
-
-
-def _serial_robust(worker, items, partial):
-    """In-process robust path: exceptions become structured failures."""
-    results: List = []
-    failures: List[SweepFailure] = []
-    for index, item in enumerate(items):
-        try:
-            results.append(worker(item))
-        except Exception as exc:
-            if not partial:
-                raise
-            failures.append(SweepFailure(index, item, "error", 1,
-                                         error=repr(exc)))
-            results.append(None)
-    outcome = SweepOutcome(results, failures)
-    return outcome
-
-
-def _parallel_robust(worker, items, workers, timeout_s, retries, partial):
-    """Submit-per-item pool with timeout, crash retry, and partial mode.
-
-    Futures are consumed strictly in input order, so on a healthy run the
-    result list is identical to the plain ``executor.map`` merge.  A
-    timeout or worker crash poisons the whole pool (sibling futures are
-    unrecoverable), so remaining items are resubmitted to a fresh pool —
-    correctness never depends on pool identity because workers are pure.
-    """
-    results: List = [None] * len(items)
-    failures: List[SweepFailure] = []
-    pending: List[Tuple[int, int]] = [(index, 1)
-                                      for index in range(len(items))]
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=_context())
-    try:
-        while pending:
-            futures = [(index, attempt, pool.submit(worker, items[index]))
-                       for index, attempt in pending]
-            pending = []
-            for position, (index, attempt, future) in enumerate(futures):
-                try:
-                    results[index] = future.result(timeout=timeout_s)
-                except FutureTimeoutError:
-                    failure = SweepFailure(index, items[index], "timeout",
-                                           attempt)
-                    pool = _replace_pool(pool, workers, attempt)
-                    pending = [(i, a) for i, a, _ in
-                               futures[position + 1:]]
-                    if not _record(failure, failures, partial):
-                        raise SweepError(failure) from None
-                    break
-                except BrokenProcessPool:
-                    pool = _replace_pool(pool, workers, attempt)
-                    pending = [(i, a) for i, a, _ in
-                               futures[position + 1:]]
-                    if attempt <= retries:
-                        # The process died (OOM kill, segfault, ...):
-                        # retry the point on the fresh pool.
-                        pending.insert(0, (index, attempt + 1))
-                        break
-                    failure = SweepFailure(index, items[index], "crash",
-                                           attempt)
-                    if not _record(failure, failures, partial):
-                        raise SweepError(failure) from None
-                    break
-                except Exception as exc:
-                    # An ordinary exception raised *by the worker*: the
-                    # pool is still healthy and deterministic workers
-                    # would fail identically on retry.
-                    if not partial:
-                        raise
-                    failures.append(SweepFailure(
-                        index, items[index], "error", attempt,
-                        error=repr(exc)))
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-    outcome = SweepOutcome(results, failures)
-    if partial:
-        return outcome
-    return outcome
-
-
-def _record(failure: SweepFailure, failures: List[SweepFailure],
-            partial: bool) -> bool:
-    """Log the failure; returns False when the sweep should abort."""
-    failures.append(failure)
-    return partial
-
-
-def _replace_pool(pool: ProcessPoolExecutor, workers: int,
-                  attempt: int) -> ProcessPoolExecutor:
-    """Tear down a poisoned pool and spawn a fresh one with backoff.
-
-    The backoff (capped exponential in the attempt number) keeps a
-    crash-looping worker from respawning processes as fast as the OS can
-    kill them.  Wall-clock sleep is orchestration-side only — virtual
-    time and results are unaffected.
-    """
-    pool.shutdown(wait=False, cancel_futures=True)
-    backoff = min(_RETRY_BACKOFF_S * (2 ** (attempt - 1)),
-                  _RETRY_BACKOFF_CAP_S)
-    time.sleep(backoff)  # sim: ignore[SIM001]
-    return ProcessPoolExecutor(max_workers=workers, mp_context=_context())
+        return [worker(item) for item in items]
+    workers = min(jobs, len(items))
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=_context()) as pool:
+        # executor.map preserves input order: the merge is
+        # deterministic even though completion order is not.
+        return list(pool.map(worker, items, chunksize=1))

@@ -1,20 +1,23 @@
-"""Differential scheduler correctness: heap vs timer wheel.
+"""Differential scheduler checks: each experiment against its own rerun.
 
-The timer wheel is only allowed into the kernel because it is
-*observationally identical* to the binary heap: same events, same
-virtual times, same order.  These tests prove it differentially with the
-replay machinery — the same experiment is traced once per scheduler and
-the digests (over every executed event's ``(time, kind, packet-uid)``)
-must match byte-for-byte on the paper's own workloads.
+The kernel has one event store, so the differential is between two runs
+of the same seeded experiment in one process, made with the replay
+machinery (:func:`~repro.analysis.check_replay`): the digests over every
+executed event's ``(time, kind, packet-uid)`` must match byte-for-byte on
+the paper's own workloads, and so must the experiments' own results.  The sanitizing subclass is
+also checked against the plain kernel, event for event.
+fig8 runs under a compressed chaos schedule (link flap, offload
+migration, corruption window) so the adversity path is covered too.
 """
 
 import pytest
 
-from repro.analysis import check_replay, find_divergence, trace_run
+from repro.analysis import (SanitizingSimulator, check_replay,
+                            find_divergence, trace_run)
 from repro.experiments.fig2_proxy import Fig2Config, run_fig2
 from repro.experiments.fig5_multipath import Fig5Config, run_fig5
 from repro.experiments.fig8_failover import Fig8Config, run_fig8
-from repro.sim import Simulator, microseconds
+from repro.sim import microseconds
 
 
 def _chaos_config():
@@ -30,83 +33,56 @@ def _chaos_config():
                       duration_ns=microseconds(600))
 
 
-def _digests(setup):
-    """(heap_trace, wheel_trace) for one experiment setup."""
-    heap_trace, _ = trace_run(setup,
-                              sim_factory=lambda: Simulator("heap"))
-    wheel_trace, _ = trace_run(setup,
-                               sim_factory=lambda: Simulator("wheel"))
-    return heap_trace, wheel_trace
-
-
-def _assert_identical(heap_trace, wheel_trace):
-    divergence = find_divergence(heap_trace, wheel_trace)
-    assert divergence is None, divergence.describe()
-    assert heap_trace.digest() == wheel_trace.digest()
-    assert len(heap_trace) > 0
+def _assert_replays(setup):
+    """Run ``setup`` twice; return both results after checking the digests."""
+    report = check_replay(setup)
+    assert report.ok, report.describe()
+    assert report.events[0] > 100  # a real run, not a trivial one
+    return report.results
 
 
 class TestSchedulerDifferential:
     def test_fig2_proxy_identical_traces(self):
         config = Fig2Config(duration_ns=microseconds(200))
-
-        def setup(sim):
-            return run_fig2(config, sim=sim)
-
-        heap_trace, wheel_trace = _digests(setup)
-        _assert_identical(heap_trace, wheel_trace)
+        _assert_replays(lambda sim: run_fig2(config, sim=sim))
 
     @pytest.mark.parametrize("protocol", ["dctcp", "mtp"])
     def test_fig5_multipath_identical_traces(self, protocol):
         config = Fig5Config(duration_ns=microseconds(300))
+        _assert_replays(lambda sim: run_fig5(protocol, config, sim=sim))
 
-        def setup(sim):
-            return run_fig5(protocol, config, sim=sim)
-
-        heap_trace, wheel_trace = _digests(setup)
-        _assert_identical(heap_trace, wheel_trace)
-
-    def test_fig5_results_identical_across_schedulers(self):
+    def test_fig5_results_identical_across_runs(self):
         config = Fig5Config(duration_ns=microseconds(300))
-        by_scheduler = {
-            name: run_fig5("mtp", config, sim=Simulator(name))
-            for name in ("heap", "wheel")}
-        assert (by_scheduler["heap"].series
-                == by_scheduler["wheel"].series)
+        first, second = _assert_replays(
+            lambda sim: run_fig5("mtp", config, sim=sim))
+        assert first.series == second.series
 
     @pytest.mark.parametrize("protocol", ["dctcp", "mtp"])
     def test_fig8_chaos_identical_traces(self, protocol):
         # The chaos schedule (link flap, offload migration, corruption
-        # window) must not perturb scheduler equivalence: both kernels
-        # replay the same adversity event for event.
+        # window) must replay event for event.
+        config = _chaos_config()
+        _assert_replays(lambda sim: run_fig8(protocol, config, sim=sim))
+
+    def test_fig8_applied_faults_identical_across_runs(self):
+        config = _chaos_config()
+        first, second = _assert_replays(
+            lambda sim: run_fig8("mtp", config, sim=sim))
+        assert first.applied == second.applied
+        assert first.series == second.series
+
+    def test_fig8_chaos_replays_itself(self):
+        # The sanitizing subclass replays itself, and event for event
+        # matches the plain kernel: its checks observe but never perturb.
         config = _chaos_config()
 
         def setup(sim):
-            return run_fig8(protocol, config, sim=sim)
+            return run_fig8("mtp", config, sim=sim)
 
-        heap_trace, wheel_trace = _digests(setup)
-        _assert_identical(heap_trace, wheel_trace)
-
-    def test_fig8_applied_faults_identical_across_schedulers(self):
-        config = _chaos_config()
-        by_scheduler = {
-            name: run_fig8("mtp", config, sim=Simulator(name))
-            for name in ("heap", "wheel")}
-        assert (by_scheduler["heap"].applied
-                == by_scheduler["wheel"].applied)
-        assert (by_scheduler["heap"].series
-                == by_scheduler["wheel"].series)
-
-    def test_fig8_chaos_replays_itself(self):
-        config = _chaos_config()
-        report = check_replay(lambda sim: run_fig8("mtp", config, sim=sim),
-                              sim_factory=lambda: Simulator("wheel"))
+        report = check_replay(setup, sim_factory=SanitizingSimulator)
         assert report.ok, report.describe()
-
-    def test_wheel_replays_itself(self):
-        # The wheel is also self-deterministic: two wheel runs of the
-        # same seeded experiment produce identical digests.
-        config = Fig5Config(duration_ns=microseconds(200))
-        report = check_replay(lambda sim: run_fig5("mtp", config, sim=sim),
-                              sim_factory=lambda: Simulator("wheel"))
-        assert report.ok, report.describe()
+        plain, _ = trace_run(setup)
+        sanitized, _ = trace_run(setup, sim_factory=SanitizingSimulator)
+        divergence = find_divergence(plain, sanitized)
+        assert divergence is None, divergence.describe()
+        assert plain.digest() == report.digests[0]

@@ -65,6 +65,18 @@ class TestSanitizingSimulator:
         with pytest.raises(SanitizerError):
             sim.at(2.0, noop)
 
+    def test_float_fast_delay_rejected(self):
+        # schedule_fast carries the link, monitor and pacing hot paths; a
+        # float here would otherwise leave the clock at a float after run().
+        sim = SanitizingSimulator()
+        with pytest.raises(SanitizerError) as excinfo:
+            sim.schedule_fast(1.5, noop)
+        assert "schedule_fast" in str(excinfo.value)
+        assert "noop" in str(excinfo.value)
+        sim.run()
+        assert sim.now == 0
+        assert isinstance(sim.now, int)
+
     def test_integer_times_pass_and_are_counted(self):
         sim = SanitizingSimulator()
         sim.schedule(5, noop)

@@ -35,8 +35,6 @@ def _fresh_id_streams():
     for module_path, attribute in _ID_STREAMS:
         module = importlib.import_module(module_path)
         setattr(module, attribute, itertools.count(1))
-    from repro.net.packet import PACKET_POOL
-    PACKET_POOL._free.clear()
     yield
 
 

@@ -177,10 +177,9 @@ class TestFaultValidation:
 class _PacketTap:
     """Offload that snapshots traversing packets without modifying them.
 
-    Packet shells are pooled and recycled after delivery (their
-    ``header`` is cleared), so the tap must evaluate the filter and
-    capture the header *while the packet traverses*; header objects are
-    never reused, so retaining them is safe.
+    The tap evaluates the filter and captures the header *while the
+    packet traverses*, so the verdict reflects the packet as switches
+    see it.
     """
 
     def __init__(self):

@@ -1,20 +1,19 @@
 """Event kernel: ordering, cancellation, timers, bounded runs.
 
-The ``sim`` fixture here is parametrized over both event stores (binary
-heap and hierarchical timer wheel): every kernel-semantics test must pass
-identically on both.  Heap-specific compaction bookkeeping pins the heap
-explicitly.
+The ``sim`` fixture's id names the event store the semantics are checked
+on.  The kernel has one, a binary heap, so test ids read ``[heap]``.
 """
 
 import pytest
 
 from repro.sim import SimulationError, Simulator, Timer
+from repro.sim.engine import COMPACT_MIN_CANCELLED
 
 
-@pytest.fixture(params=["heap", "wheel"])
+@pytest.fixture(params=["heap"])
 def sim(request):
-    """A fresh simulator per event-store implementation."""
-    return Simulator(scheduler=request.param)
+    """A fresh simulator; the param names its event store."""
+    return Simulator()
 
 
 class TestScheduling:
@@ -170,16 +169,11 @@ class TestTimer:
 
 
 class TestCancellationBookkeeping:
-    """pending_events() is O(1) and the heap compacts away cancelled junk.
-
-    Compaction is a heap-scheduler implementation detail, so this class
-    pins ``scheduler="heap"`` (the wheel sheds cancelled entries when
-    their slot drains instead; see TestTimerWheel in test_timer_wheel.py).
-    """
+    """pending_events() is O(1) and the heap compacts away cancelled junk."""
 
     @pytest.fixture
     def sim(self):
-        return Simulator(scheduler="heap")
+        return Simulator()
 
     def test_pending_events_counts_live_only(self, sim):
         handles = [sim.schedule(10 + index, lambda: None)
@@ -215,7 +209,6 @@ class TestCancellationBookkeeping:
         assert live.time == 50
 
     def test_heap_compaction_sheds_cancelled_entries(self, sim):
-        from repro.sim.engine import COMPACT_MIN_CANCELLED
         total = 4 * COMPACT_MIN_CANCELLED
         handles = [sim.schedule(1000 + index, lambda: None)
                    for index in range(total)]
@@ -227,7 +220,6 @@ class TestCancellationBookkeeping:
         assert sim.pending_events() == 10
 
     def test_compaction_preserves_order_and_results(self, sim):
-        from repro.sim.engine import COMPACT_MIN_CANCELLED
         order = []
         keep = []
         total = 4 * COMPACT_MIN_CANCELLED
@@ -358,17 +350,13 @@ class TestTimerEdgeCases:
         for _ in range(10_000):
             timer.restart(1_000_000)
         assert sim.pending_events() == 1
-        if sim.scheduler == "heap":
-            # Compaction keeps the dead weight bounded: after peek_time()
-            # (which compacts when dominated) the heap is nearly clean.
-            sim.peek_time()
-            assert sim.queued_entries() - sim.pending_events() \
-                <= 2 * 10_000  # never compacts above 2x live... loose cap
-            # Tighter: cancelled junk is less than half the heap.
-            from repro.sim.engine import COMPACT_MIN_CANCELLED
-            junk = sim.queued_entries() - sim.pending_events()
-            assert junk <= max(COMPACT_MIN_CANCELLED,
-                               sim.queued_entries() // 2 + 1)
+        # Compaction keeps the dead weight bounded: after peek_time()
+        # (which compacts when dominated) cancelled junk is at most half
+        # the heap.
+        sim.peek_time()
+        junk = sim.queued_entries() - sim.pending_events()
+        assert junk <= max(COMPACT_MIN_CANCELLED,
+                           sim.queued_entries() // 2 + 1)
 
     def test_restart_storm_fires_exactly_once(self, sim):
         fired = []
@@ -417,9 +405,47 @@ class TestTimerEdgeCases:
 
 class TestSchedulerSelection:
     def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(scheduler="calendar")
+        # One event store: any scheduler choice is an error, not ignored.
+        with pytest.raises(TypeError):
+            Simulator("calendar")
 
-    def test_scheduler_name_recorded(self):
-        assert Simulator().scheduler == "heap"
-        assert Simulator(scheduler="wheel").scheduler == "wheel"
+
+class _ObservingSimulator(Simulator):
+    """Records every event that reaches the two scheduling entry points."""
+
+    __slots__ = ("seen",)
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def at(self, time, callback, *args):
+        self.seen.append(("at", time))
+        return super().at(time, callback, *args)
+
+    def schedule_fast(self, delay, callback, *args):
+        self.seen.append(("fast", self.now + delay))
+        super().schedule_fast(delay, callback, *args)
+
+
+class TestSubclassObservesScheduling:
+    """Every event goes through ``at`` or ``schedule_fast``: the contract
+    the sanitizing simulator and tracing subclasses rely on."""
+
+    def test_every_event_passes_an_overridable_entry_point(self):
+        sim = _ObservingSimulator()
+        sim.schedule(10, lambda: None)
+        timer = Timer(sim, lambda: None)
+        timer.start(20)
+        timer.restart(5)        # earlier deadline: cancel and re-queue
+        timer.restart(40)       # later deadline: deferred re-arm
+        sim.schedule_fast(15, lambda: None)
+        sim.run()
+        assert sim.seen == [
+            ("at", 10),   # schedule() delegates to at()
+            ("at", 20),   # Timer.start
+            ("at", 5),    # Timer.restart to an earlier deadline
+            ("fast", 15),
+            ("at", 40),   # the deferred re-arm chases its deadline at t=5
+        ]
+        assert sim.events_executed == 4  # the cancelled t=20 never fires

@@ -1,21 +1,12 @@
-"""repro.perf plumbing: sweep_map ordering, the trajectory file, the CLI.
+"""repro.perf plumbing: sweep_map's serial and process-parallel fan-out.
 
-The actual throughput numbers are exercised by
-``benchmarks/test_kernel_microbench.py``; here we pin the machinery
-around them — deterministic parallel fan-out, the append-only
-``BENCH_kernel.json`` schema, regression arithmetic, and the
-``python -m repro.perf`` exit codes — with stubbed measurements so the
-tests stay fast.
+The parallel path must merge results in input order so a sweep's output
+does not depend on ``jobs``.
 """
 
-import json
 import os
 
-import pytest
-
-from repro.perf import check_regression, load_baseline, sweep_map
-from repro.perf.bench import THROUGHPUT_METRICS, update_trajectory
-from repro.perf.__main__ import main as perf_main
+from repro.perf import sweep_map
 
 
 def _square(value):
@@ -52,108 +43,3 @@ class TestSweepMap:
 
     def test_single_item_short_circuits(self):
         assert sweep_map(_identify, [5], jobs=8) == [(5, os.getpid())]
-
-
-def _metrics(scale=1.0):
-    metrics = {name: 1_000_000.0 * scale for name in THROUGHPUT_METRICS}
-    metrics["quick"] = False
-    return metrics
-
-
-class TestTrajectory:
-    def test_load_baseline_absent(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") is None
-
-    def test_update_creates_and_appends_history(self, tmp_path):
-        path = tmp_path / "bench.json"
-        update_trajectory(_metrics(1.0), "day1", path=path)
-        doc = update_trajectory(_metrics(2.0), "day2", path=path)
-        assert doc["schema"] == 1
-        assert doc["stamp"] == "day2"
-        assert [entry["stamp"] for entry in doc["history"]] == \
-            ["day1", "day2"]
-        assert load_baseline(path) == doc
-        assert json.loads(path.read_text()) == doc
-
-    def test_history_capped(self, tmp_path):
-        path = tmp_path / "bench.json"
-        for day in range(7):
-            doc = update_trajectory(_metrics(), f"day{day}", path=path,
-                                    keep_history=3)
-        assert [entry["stamp"] for entry in doc["history"]] == \
-            ["day4", "day5", "day6"]
-
-    def test_check_regression_within_tolerance(self):
-        baseline = {"metrics": _metrics(1.0)}
-        assert check_regression(_metrics(0.8), baseline) == []
-
-    def test_check_regression_flags_each_dropped_metric(self):
-        baseline = {"metrics": _metrics(1.0)}
-        failures = check_regression(_metrics(0.5), baseline)
-        assert len(failures) == len(THROUGHPUT_METRICS)
-        for name in THROUGHPUT_METRICS:
-            assert any(name in failure for failure in failures)
-
-    def test_check_regression_ignores_missing_metrics(self):
-        failures = check_regression(_metrics(0.1), {"metrics": {}})
-        assert failures == []
-
-
-@pytest.fixture
-def stub_measurements(monkeypatch):
-    """Make the CLI instant: canned metrics instead of real benchmarks."""
-    def fake_run(quick=False, repeats=3):
-        metrics = _metrics(0.5)
-        metrics["quick"] = quick
-        for scheduler in ("heap", "wheel"):
-            metrics[f"events_per_sec_{scheduler}"] = 1_000_000.0
-            metrics[f"fig5_wallclock_sec_{scheduler}"] = 0.5
-        metrics["wheel_restart_speedup"] = 1.0
-        metrics["wheel_event_speedup"] = 1.0
-        return metrics
-
-    import repro.perf.__main__ as cli
-    monkeypatch.setattr(cli, "run_benchmarks", fake_run)
-    return fake_run
-
-
-class TestCli:
-    def test_measure_only_exit_zero(self, stub_measurements, capsys):
-        assert perf_main([]) == 0
-        assert "kernel microbenchmarks" in capsys.readouterr().out
-
-    def test_out_dumps_metrics(self, stub_measurements, tmp_path):
-        out = tmp_path / "current.json"
-        assert perf_main(["--out", str(out)]) == 0
-        dumped = json.loads(out.read_text())
-        assert dumped["events_per_sec_heap"] == 1_000_000.0
-
-    def test_check_without_baseline_exits_2(self, stub_measurements,
-                                            tmp_path):
-        missing = tmp_path / "none.json"
-        assert perf_main(["--check", "--baseline", str(missing)]) == 2
-
-    def test_check_quick_full_mismatch_exits_2(self, stub_measurements,
-                                               tmp_path):
-        path = tmp_path / "bench.json"
-        full = _metrics(0.5)
-        full["quick"] = False
-        update_trajectory(full, "day0", path=path)
-        assert perf_main(["--check", "--quick",
-                          "--baseline", str(path)]) == 2
-
-    def test_update_then_check_ok(self, stub_measurements, tmp_path):
-        path = tmp_path / "bench.json"
-        assert perf_main(["--update", "--baseline", str(path)]) == 0
-        assert perf_main(["--check", "--baseline", str(path)]) == 0
-        doc = load_baseline(path)
-        assert len(doc["history"]) == 1
-
-    def test_check_flags_regression(self, stub_measurements, tmp_path,
-                                    capsys):
-        path = tmp_path / "bench.json"
-        fat = _metrics(5.0)  # 10x what the stub will measure
-        fat["quick"] = False
-        update_trajectory(fat, "day0", path=path)
-        assert perf_main(["--check", "--baseline", str(path)]) == 1
-        assert "REGRESSION" in capsys.readouterr().err

@@ -1,53 +1,90 @@
-"""TimerWheelScheduler-specific tests.
+"""Event order on synthetic workloads, against a reference kernel.
 
-The wheel must (a) execute events in exactly the heap scheduler's
-``(time, seq)`` order — verified here on synthetic workloads and by the
-differential replay tests on real experiments — and (b) handle the
-structural edge cases a hierarchical wheel introduces: level-1 cascades,
-the far-future overflow heap, cursor jumps over empty regions, and
-shedding of lazily-cancelled entries as slots drain.
+These tests were first written to hold a hierarchical timer wheel to the
+heap's ``(time, seq)`` order; the class and test names date from then.
+The kernel now has one store, the binary heap, so each workload runs on
+:class:`Simulator` and on :class:`_ReferenceKernel`, a linear-scan loop
+simple enough to check by eye, and the two fire logs must match.  The
+structural cases (far-future events, dense cancellation, bounded runs
+that stop short of the next event, same-tick re-scheduling) stay too.
 """
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Simulator, TimerWheelScheduler
+from repro.sim.engine import Simulator
 
-#: One level-0 slot at the default granularity.
+#: Delays used to spread workloads over many orders of magnitude.
 G0 = 4096
-#: Level-0 horizon (SLOTS * G0).
 L0_SPAN = 256 * G0
-#: Level-1 horizon; beyond this pushes land in the overflow heap.
 L1_SPAN = 256 * L0_SPAN
 
 
-def _run_order(scheduler, schedule_plan):
-    """Execute ``schedule_plan`` on a fresh sim, returning the fire log.
+class _ReferenceHandle:
+    __slots__ = ("cancelled",)
+
+    def __init__(self):
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _ReferenceKernel:
+    """Fires the live event with the smallest ``(time, seq)``, by scan."""
+
+    def __init__(self):
+        self.now = 0
+        self._events = []
+        self._seq = 0
+
+    def schedule(self, delay, callback, *args):
+        handle = _ReferenceHandle()
+        self._events.append((self.now + delay, self._seq, handle,
+                             callback, args))
+        self._seq += 1
+        return handle
+
+    def schedule_fast(self, delay, callback, *args):
+        self.schedule(delay, callback, *args)
+
+    def run(self):
+        while True:
+            live = [event for event in self._events
+                    if not event[2].cancelled]
+            if not live:
+                return
+            event = min(live, key=lambda entry: entry[:2])
+            self._events.remove(event)
+            self.now = event[0]
+            event[3](*event[4])
+
+
+def _run_order(kernel, schedule_plan):
+    """Execute ``schedule_plan`` on ``kernel``, returning the fire log.
 
     ``schedule_plan(sim, log)`` schedules events that append to ``log``.
     """
-    sim = Simulator(scheduler=scheduler)
     log = []
-    schedule_plan(sim, log)
-    sim.run()
+    schedule_plan(kernel, log)
+    kernel.run()
     return log
 
 
 def _assert_matches_heap(schedule_plan):
-    heap_log = _run_order("heap", schedule_plan)
-    wheel_log = _run_order("wheel", schedule_plan)
-    assert wheel_log == heap_log
-    return wheel_log
+    heap_log = _run_order(Simulator(), schedule_plan)
+    reference_log = _run_order(_ReferenceKernel(), schedule_plan)
+    assert heap_log == reference_log
+    return heap_log
 
 
 class TestWheelMatchesHeapOrder:
     def test_same_slot_fifo(self):
         def plan(sim, log):
             for index in range(20):
-                # All within one level-0 slot, many in the same tick.
+                # Many events in the same tick.
                 sim.schedule(index % 3, log.append, index)
 
         log = _assert_matches_heap(plan)
@@ -71,13 +108,13 @@ class TestWheelMatchesHeapOrder:
                 if count:
                     sim.schedule_fast(delay, hop, count - 1, delay)
 
-            # Chains whose hops repeatedly cross L0-slot and L1-slot
-            # boundaries while interleaving with each other.
+            # Chains with different strides interleaving with each other.
             sim.schedule_fast(0, hop, 40, G0 - 7)
             sim.schedule_fast(3, hop, 30, L0_SPAN // 3)
             sim.schedule_fast(5, hop, 12, L0_SPAN + 17)
 
-        _assert_matches_heap(plan)
+        log = _assert_matches_heap(plan)
+        assert len(log) == 41 + 31 + 13
 
     def test_randomized_schedule_matches_heap(self):
         def plan(sim, log):
@@ -129,51 +166,40 @@ class TestWheelMatchesHeapOrder:
 
 
 class TestWheelStructure:
-    def test_overflow_migrates_into_wheel(self):
-        sim = Simulator(scheduler="wheel")
-        fired = []
-        sim.schedule(3 * L1_SPAN + 5, fired.append, "far")
-        sim.schedule(10, fired.append, "near")
-        assert sim._sched._overflow  # far event parked beyond the horizon
-        sim.run()
-        assert fired == ["near", "far"]
-        assert not sim._sched._overflow
-        assert sim.now == 3 * L1_SPAN + 5
-
     def test_cursor_jumps_over_empty_regions(self):
-        sim = Simulator(scheduler="wheel")
+        sim = Simulator()
         fired = []
         sim.schedule(5 * L1_SPAN + 123, fired.append, "only")
         sim.run()
         assert fired == ["only"]
-        # A linear slot walk over 5 L1 spans would be ~330k slot visits;
-        # the jump makes this run in a handful of events.
         assert sim.events_executed == 1
+        assert sim.now == 5 * L1_SPAN + 123
 
     def test_cancelled_entries_shed_on_drain(self):
-        sim = Simulator(scheduler="wheel")
+        sim = Simulator()
         keep = sim.schedule(10 * G0, lambda: None)
         for _ in range(500):
             sim.schedule(3 * G0, lambda: None).cancel()
         assert sim.pending_events() == 1
         assert sim.queued_entries() == 501
         sim.run()
-        # Draining the slot discarded the 500 dead entries wholesale.
+        # Compaction and the drain discarded the 500 dead entries.
         assert sim.queued_entries() == 0
         assert not keep.pending  # fired
 
     def test_bounded_run_peeks_without_losing_events(self):
-        sim = Simulator(scheduler="wheel")
+        sim = Simulator()
         fired = []
         sim.schedule(L0_SPAN + 3, fired.append, "later")
         for _ in range(50):
-            sim.run_for(G0)  # each bounded run peeks past the horizon
+            sim.run_for(G0)  # each bounded run stops short of the event
         assert fired == []
+        assert sim.queued_entries() == 1
         sim.run_for(L0_SPAN)
         assert fired == ["later"]
 
     def test_same_tick_scheduling_goes_to_bucket(self):
-        sim = Simulator(scheduler="wheel")
+        sim = Simulator()
         log = []
 
         def first():
@@ -183,15 +209,10 @@ class TestWheelStructure:
         sim.schedule(G0 * 3 + 1, first)
         sim.run()
         assert log == ["first", "same-tick"]
-
-    def test_granularity_validation(self):
-        with pytest.raises(ValueError):
-            TimerWheelScheduler(granularity_ns=0)
-        with pytest.raises(ValueError):
-            TimerWheelScheduler(granularity_ns=-5)
+        assert sim.now == G0 * 3 + 1
 
     def test_pending_counts_track_cancels(self):
-        sim = Simulator(scheduler="wheel")
+        sim = Simulator()
         handles = [sim.schedule(index * 1000, lambda: None)
                    for index in range(10)]
         assert sim.pending_events() == 10
