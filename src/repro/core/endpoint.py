@@ -131,8 +131,13 @@ class MtpEndpoint:
         #: priority -> rotation of msg_ids with unsent packets.  Messages
         #: within a priority class are served round-robin, one packet per
         #: turn, so parallel messages interleave (processor sharing) rather
-        #: than serializing behind the oldest elephant.
+        #: than serializing behind the oldest elephant.  Only live messages
+        #: are rotated: one leaves when its last packet is sent or it is
+        #: aborted, and an emptied priority is deleted.
         self._ready: Dict[int, deque] = {}
+        #: priority -> {(dst, tc) route: its messages in the rotation}, so
+        #: a drain sees at once that every message left is window-blocked.
+        self._ready_routes: Dict[int, Dict[Tuple[int, str], int]] = {}
         self._retx_queue: list = []  # (priority, msg_id, pkt_num)
         #: Min-heap of (send_time, msg_id, pkt_num) for in-flight packets;
         #: entries are validated lazily against the authoritative
@@ -193,6 +198,9 @@ class MtpEndpoint:
         self._outgoing[message.msg_id] = state
         self._ready.setdefault(message.priority, deque()).append(
             message.msg_id)
+        routes = self._ready_routes.setdefault(message.priority, {})
+        route = (dst_address, message.tc)
+        routes[route] = routes.get(route, 0) + 1
         self.messages_sent += 1
         if deadline_ns is not None:
             if deadline_ns <= 0:
@@ -214,6 +222,10 @@ class MtpEndpoint:
         state = self._outgoing.pop(msg_id, None)
         if state is None:
             return False
+        if state.unsent_packets():
+            priority = state.message.priority
+            self._ready[priority].remove(msg_id)
+            self._unready(priority, (state.dst_address, state.message.tc))
         state.failed = True
         state.fail_reason = reason
         self.messages_failed += 1
@@ -269,28 +281,49 @@ class MtpEndpoint:
         blocked_scans = 0
         for priority in sorted(self._ready):
             rotation = self._ready[priority]
+            routes = self._ready_routes[priority]
             blocked_here = 0
             # One full sweep is `len(rotation)` turns with no progress.
             while rotation and blocked_here < len(rotation) \
                     and blocked_scans < self.max_blocked_scan:
-                msg_id = rotation[0]
-                state = self._outgoing.get(msg_id)
-                if state is None or state.unsent_packets() == 0:
-                    rotation.popleft()
-                    continue
+                state = self._outgoing[rotation[0]]
                 route = (state.dst_address, state.message.tc)
-                if route not in blocked and self._send_packet(
-                        state, state.next_to_send, retransmit=False):
+                if route in blocked:
+                    if blocked.issuperset(routes):
+                        # Every message left is window-blocked, so the rest
+                        # of the scan is pure rotation: take it in one step.
+                        turns = min(len(rotation) - blocked_here,
+                                    self.max_blocked_scan - blocked_scans)
+                        rotation.rotate(-turns)
+                        blocked_scans += turns
+                        break
+                elif self._send_packet(state, state.next_to_send,
+                                       retransmit=False):
                     state.next_to_send += 1
-                    rotation.rotate(-1)
                     blocked_here = 0
+                    if state.unsent_packets():
+                        rotation.rotate(-1)
+                    else:
+                        rotation.popleft()
+                        self._unready(priority, route)
+                    continue
                 else:
                     blocked.add(route)
-                    rotation.rotate(-1)
-                    blocked_here += 1
-                    blocked_scans += 1
-            if not rotation:
-                del self._ready[priority]
+                rotation.rotate(-1)
+                blocked_here += 1
+                blocked_scans += 1
+
+    def _unready(self, priority: int, route: Tuple[int, str]) -> None:
+        """Count one message of ``route`` out of ``priority``'s rotation,
+        which the caller has already removed it from."""
+        routes = self._ready_routes[priority]
+        if routes[route] > 1:
+            routes[route] -= 1
+            return
+        del routes[route]
+        if not routes:
+            del self._ready_routes[priority]
+            del self._ready[priority]
 
     def _send_packet(self, state: SendState, pkt_num: int,
                      retransmit: bool) -> bool:

@@ -15,6 +15,7 @@ Payload content is not modelled — only byte counts move through the stream.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -218,6 +219,10 @@ class TcpConnection:
         #: Segment seqs in ascending order (new data only grows rightward),
         #: so cumulative ACKs pop from the front in O(acked segments).
         self._seg_order: Deque[int] = deque()
+        #: Seqs of the segments not yet SACKed, ascending: the RFC 6675
+        #: scoreboard, walked from the lowest un-SACKed sequence.  Segments
+        #: never overlap, so ``seq + len`` ascends along it too.
+        self._unsacked: List[int] = []
         #: Sequence numbers marked lost, awaiting retransmission (in order).
         self._lost: Deque[int] = deque()
         #: Bytes believed to be in the network (sent, unacked, not lost).
@@ -445,6 +450,7 @@ class TcpConnection:
             self._segments[self.snd_nxt] = [1, False, self.sim.now, False,
                                             False]
             self._seg_order.append(self.snd_nxt)
+            self._unsacked.append(self.snd_nxt)
             self._pipe += 1
             self.snd_nxt += 1  # FIN consumes one sequence number
             if not self._rto_timer.running:
@@ -456,6 +462,7 @@ class TcpConnection:
         self.bytes_sent += size
         self._segments[seq] = [size, False, self.sim.now, False, False]
         self._seg_order.append(seq)
+        self._unsacked.append(seq)
         self._pipe += size
         if not self._rto_timer.running:
             self._rto_timer.restart(self.rto)
@@ -492,20 +499,26 @@ class TcpConnection:
         SACK (simplified RFC 6675)."""
         if not blocks:
             return
+        segments = self._segments
+        unsacked = self._unsacked
         for start, end in blocks:
             self._highest_sacked = max(self._highest_sacked, end)
-        for seq, entry in self._segments.items():
-            if entry[4]:
-                continue
-            size = entry[0]
-            for start, end in blocks:
-                if start <= seq and seq + size <= end:
-                    entry[4] = True
-                    if not entry[3]:
-                        self._pipe -= size
-                    else:
-                        entry[3] = False  # no need to retransmit after all
+            # The segments a block covers are a run of the scoreboard: the
+            # first at or above ``start`` up to the last ending by ``end``.
+            first = last = bisect_left(unsacked, start)
+            while last < len(unsacked):
+                seq = unsacked[last]
+                entry = segments[seq]
+                size = entry[0]
+                if seq + size > end:
                     break
+                entry[4] = True
+                if not entry[3]:
+                    self._pipe -= size
+                else:
+                    entry[3] = False  # no need to retransmit after all
+                last += 1
+            del unsacked[first:last]
         # Loss inference: an unsacked segment with >= 3 MSS of SACKed data
         # above it is presumed lost (no need to wait for the RTO).
         # Retransmitted segments are only re-presumed lost once an RTT has
@@ -513,13 +526,15 @@ class TcpConnection:
         # them on every SACK and churn forever.
         threshold = self._highest_sacked - 3 * self.mss
         retx_grace = self.srtt if self.srtt is not None else self.min_rto_ns
-        newly_lost = [seq for seq, entry in self._segments.items()
-                      if not entry[3] and not entry[4]
-                      and seq + entry[0] <= threshold
-                      and (not entry[1]
-                           or self.sim.now - entry[2] > retx_grace)]
-        for seq in sorted(newly_lost):
-            self._mark_lost(seq)
+        newly_lost = False
+        for seq in unsacked:
+            entry = segments[seq]
+            if seq + entry[0] > threshold:
+                break
+            if not entry[3] and (not entry[1]
+                                 or self.sim.now - entry[2] > retx_grace):
+                self._mark_lost(seq)
+                newly_lost = True
         if newly_lost and not self._in_recovery:
             self._in_recovery = True
             self._recover = self.snd_nxt
@@ -689,6 +704,8 @@ class TcpConnection:
             del self._segments[seq]
             if not entry[3] and not entry[4]:
                 self._pipe -= entry[0]
+        front = self._seg_order[0] if self._seg_order else self.snd_nxt
+        del self._unsacked[:bisect_left(self._unsacked, front)]
 
     def _grow_cwnd(self, newly_acked: int) -> None:
         if self.cwnd < self.ssthresh:
@@ -746,7 +763,7 @@ class TcpConnection:
         # Go-back-N: everything unacknowledged is presumed lost; slow start
         # will clock the retransmissions back out.
         self.ssthresh = max(self._pipe // 2, 2 * self.mss)
-        for seq in sorted(self._segments):
+        for seq in self._unsacked:
             self._mark_lost(seq)
         self.cwnd = self.mss
         self._in_recovery = False
