@@ -8,7 +8,6 @@ requests and answer hot keys without touching the backend.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, Optional
 
 from ..core.endpoint import DeliveredMessage, MtpEndpoint
@@ -17,7 +16,6 @@ from ..sim.engine import Simulator
 __all__ = ["KvRequest", "KvResponse", "KvsServer", "KvsClient",
            "REQUEST_SIZE"]
 
-_request_ids = itertools.count(1)
 
 #: Wire size of a GET/PUT request message (single packet by design — the
 #: bounded-state property offloads rely on).
@@ -151,7 +149,7 @@ class KvsClient:
 
     def _send(self, op: str, key: str, value, value_size: int,
               on_response: Optional[Callable]) -> int:
-        request_id = next(_request_ids)
+        request_id = self.sim.new_id("kv_request")
         request = KvRequest(request_id, op, key, self.endpoint.port,
                             value=value, value_size=value_size)
         self._pending[request_id] = {"sent_at": self.sim.now,

@@ -188,7 +188,8 @@ class MtpEndpoint:
         and ``on_failed(send_state)`` fires instead — bounded-latency RPCs
         without caller-side timers.
         """
-        message = Message(size, priority=priority,
+        message = Message(self.sim.new_id("message"), size,
+                          priority=priority,
                           tc=tc if tc is not None else self.tc,
                           payload=payload,
                           max_payload=self.stack.mss)

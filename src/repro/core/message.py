@@ -8,7 +8,6 @@ track per-packet acknowledgement/arrival at the two ends.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..net.packet import DEFAULT_HEADER_BYTES, MTU
@@ -18,8 +17,6 @@ __all__ = ["Message", "SendState", "ReceiveState", "MTP_MAX_PAYLOAD",
 
 #: Maximum MTP payload per packet (MTU minus nominal header overhead).
 MTP_MAX_PAYLOAD = MTU - DEFAULT_HEADER_BYTES
-
-_message_ids = itertools.count(1)
 
 
 def fragment_sizes(total_bytes: int,
@@ -44,17 +41,17 @@ class Message:
     """An application message: independent, atomic, mutable in-network.
 
     Attributes:
-        msg_id: unique among outstanding messages from this end-host.
+        msg_id: unique within its simulator (``sim.new_id("message")``).
         size: total payload bytes.
         priority: application-assigned; smaller numbers are more urgent.
         tc: traffic class (the entity label used for isolation policies).
         payload: opaque application object, visible to in-network offloads.
     """
 
-    def __init__(self, size: int, priority: int = 0, tc: str = "default",
-                 payload: Any = None, msg_id: Optional[int] = None,
+    def __init__(self, msg_id: int, size: int, priority: int = 0,
+                 tc: str = "default", payload: Any = None,
                  max_payload: int = MTP_MAX_PAYLOAD):
-        self.msg_id = msg_id if msg_id is not None else next(_message_ids)
+        self.msg_id = msg_id
         self.size = size
         self.priority = priority
         self.tc = tc

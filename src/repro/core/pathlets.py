@@ -11,7 +11,6 @@ delay) simultaneously.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, Optional
 
 from ..net.link import Port
@@ -28,7 +27,6 @@ __all__ = ["PathletRegistry", "FeedbackSource", "EcnFeedbackSource",
 #: Reserved pathlet id for "no feedback received yet".
 UNKNOWN_PATHLET = 0
 
-_pathlet_ids = itertools.count(1)
 
 #: Classifies a packet into a traffic class integer (tenant isolation).
 TcClassifier = Callable[[Packet], int]
@@ -203,7 +201,8 @@ class PathletRegistry:
         """
         if port in self._by_port:
             raise ValueError(f"port {port.name} is already a pathlet")
-        path_id = pathlet_id if pathlet_id is not None else next(_pathlet_ids)
+        path_id = (pathlet_id if pathlet_id is not None
+                   else self.sim.new_id("pathlet"))
         annotator = PathletAnnotator(self.sim, port, path_id, source,
                                      tc_classifier)
         self._by_port[port] = path_id

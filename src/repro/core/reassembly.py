@@ -11,15 +11,12 @@ reassembles and reports completion.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, Optional
 
 from .endpoint import DeliveredMessage, MtpEndpoint
 from .message import MTP_MAX_PAYLOAD
 
 __all__ = ["BlobSender", "BlobReceiver", "BlobChunk"]
-
-_blob_ids = itertools.count(1)
 
 
 class BlobChunk:
@@ -64,7 +61,7 @@ class BlobSender:
         self.window_messages = window_messages
         self.on_complete = on_complete
         self.priority = priority
-        self.blob_id = next(_blob_ids)
+        self.blob_id = endpoint.sim.new_id("blob")
         self._next_offset = 0
         self._outstanding = 0
         self.bytes_acked = 0

@@ -8,7 +8,6 @@ computing model of the paper.
 
 from __future__ import annotations
 
-import itertools
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Protocol,
                     Sequence)
 
@@ -21,8 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .routing import PortSelector
 
 __all__ = ["Node", "Host", "Switch", "PacketProcessor", "ProtocolHandler"]
-
-_addresses = itertools.count(1)
 
 
 class ProtocolHandler(Protocol):
@@ -51,7 +48,7 @@ class Node:
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
-        self.address: int = next(_addresses)
+        self.address: int = sim.new_id("address")
         self.ports: List["Port"] = []
         self.counters = Counter()
 

@@ -40,7 +40,10 @@ class Packet:
         flow_label: hashable tuple identifying the flow for ECMP hashing.
         entity: tenant/application label used by isolation policies.
         created_at: virtual time the packet was created (for latency stats).
-        uid: globally unique packet id (diagnostics and tie-breaking).
+        uid: process-wide packet id, for diagnostics.  Unlike the ids from
+            :meth:`~repro.sim.engine.Simulator.new_id` it is not per run:
+            only the ledger and the replay trace (which rebases it) read
+            it, never results, and a packet has no simulator to ask.
         hops: node names traversed (recorded by switches; diagnostics).
         corrupted: True once a fault has damaged the payload; receivers
             model a checksum by dropping corrupted packets on arrival.

@@ -11,7 +11,6 @@ messages as it pleases.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Optional, Tuple
 
 from ..core.endpoint import DeliveredMessage, MtpEndpoint, MtpStack
@@ -24,8 +23,6 @@ __all__ = ["TcpMtpGateway", "BridgeChunk", "GATEWAY_MTP_PORT"]
 
 #: MTP port the gateways speak to each other on.
 GATEWAY_MTP_PORT = 9000
-
-_session_ids = itertools.count(1)
 
 
 class BridgeChunk:
@@ -123,7 +120,8 @@ class TcpMtpGateway(Host):
     def _accept_client(self, conn: TcpConnection) -> ConnectionCallbacks:
         if self.peer_address is None:
             raise RuntimeError(f"gateway {self.name}: set_peer() missing")
-        session = _Session(next(_session_ids), self.peer_address)
+        session = _Session(self.sim.new_id("gateway_session"),
+                           self.peer_address)
         session.conn = conn
         self._sessions[session.session_id] = session
         self.sessions_opened += 1

@@ -52,8 +52,8 @@ def inject_message(switch: Switch, src_address: int, dst_address: int,
     ACKs land at ``src_address``, whose endpoint ignores unknown message ids.
     """
     kwargs = {"max_payload": max_payload} if max_payload else {}
-    message = Message(size, priority=priority, tc=tc, payload=payload,
-                      **kwargs)
+    message = Message(switch.sim.new_id("message"), size,
+                      priority=priority, tc=tc, payload=payload, **kwargs)
     for pkt_num, pkt_len in enumerate(message.packet_sizes):
         header = MtpHeader(KIND_DATA, src_port, dst_port, message.msg_id,
                            priority=priority, msg_len_bytes=message.size,

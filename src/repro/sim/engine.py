@@ -39,7 +39,10 @@ those from :meth:`Simulator.schedule` and :class:`Timer`, goes through
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple  # noqa: F401
+import itertools
+from collections import defaultdict
+from typing import (Any, Callable, DefaultDict, Iterator, List,  # noqa: F401
+                    Optional, Tuple)
 
 from .units import format_time
 
@@ -116,7 +119,7 @@ class Simulator:
 
     __slots__ = ("_queue", "_cancelled", "_pending", "_now", "_seq",
                  "_running", "_stopped", "_event_hooks", "events_executed",
-                 "ledger")
+                 "ledger", "_id_streams")
 
     def __init__(self) -> None:
         self._queue: List[Entry] = []
@@ -134,11 +137,22 @@ class Simulator:
         #: Optional packet-conservation ledger (repro.analysis.sanitize);
         #: hosts, switches, and ports consult it when set.
         self.ledger: Optional[Any] = None
+        #: kind -> identifier stream (see :meth:`new_id`).
+        self._id_streams: DefaultDict[str, Iterator[int]] = defaultdict(
+            lambda: itertools.count(1))
 
     @property
     def now(self) -> int:
         """Current virtual time in nanoseconds."""
         return self._now
+
+    def new_id(self, kind: str) -> int:
+        """Next identifier of ``kind`` ("address", "message", ...) in this run.
+
+        Each kind counts 1, 2, 3, ... on its own and a fresh simulator
+        starts over, so the ids ECMP hashes depend only on this run.
+        """
+        return next(self._id_streams[kind])
 
     def schedule(self, delay: int, callback: Callable[..., None],
                  *args: Any) -> EventHandle:

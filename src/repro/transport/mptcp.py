@@ -23,7 +23,6 @@ Modelling notes:
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -36,7 +35,6 @@ from .tcp import TcpConnection, TcpHeader, TcpStack, FLAG_ACK, FLAG_SYN
 
 __all__ = ["MptcpStack", "MptcpConnection"]
 
-_meta_ids = itertools.count(1)
 
 #: Bytes assigned to a subflow per scheduling decision.
 CHUNK_BYTES = 4 * 1460
@@ -278,12 +276,12 @@ class MptcpStack(TransportStack):
         """Open a meta-connection with ``n_subflows`` subflows."""
         if n_subflows <= 0:
             raise ValueError("need at least one subflow")
-        meta_id = next(_meta_ids)
+        meta_id = self.sim.new_id("mptcp_meta")
         meta = MptcpConnection(self, meta_id,
                                callbacks or ConnectionCallbacks(),
                                n_subflows, is_client=True)
         self._metas[(dst_address, meta_id)] = meta
-        _GLOBAL_META_REGISTRY[(meta_id, True)] = meta
+        _GLOBAL_META_REGISTRY[(self.sim, meta_id, True)] = meta
         for _ in range(n_subflows):
             local_port = self._tcp._allocate_port()
             subflow = TcpConnection(self._tcp, local_port, dst_address,
@@ -308,9 +306,9 @@ class MptcpStack(TransportStack):
         Modelling shortcut: our TCP substrate moves byte *counts*, not byte
         contents, so the data-sequence mapping a real receiver would parse
         from the DSS option is instead read from the sender's bookkeeping.
-        Meta ids are globally unique, so the lookup is exact.
+        Meta ids are unique within a simulator, so the lookup is exact.
         """
-        return _GLOBAL_META_REGISTRY.get((meta.meta_id,
+        return _GLOBAL_META_REGISTRY.get((self.sim, meta.meta_id,
                                           not meta.is_client))
 
     def handle_packet(self, packet: Packet) -> None:
@@ -334,7 +332,7 @@ class MptcpStack(TransportStack):
                                        is_client=False)
                 self._metas[meta_key] = meta
                 meta.callbacks = accept(meta)
-                _GLOBAL_META_REGISTRY[(header.meta_id, False)] = meta
+                _GLOBAL_META_REGISTRY[(self.sim, header.meta_id, False)] = meta
             subflow = TcpConnection(self._tcp, header.dst_port, packet.src,
                                     header.src_port, ConnectionCallbacks(),
                                     meta_id=header.meta_id, **options)
@@ -345,5 +343,7 @@ class MptcpStack(TransportStack):
         self.host.counters.add("mptcp_rst")
 
 
-#: (meta_id, is_client) -> MptcpConnection, for multi-hop peer lookup.
-_GLOBAL_META_REGISTRY: Dict[Tuple[int, bool], MptcpConnection] = {}
+#: (simulator, meta_id, is_client) -> MptcpConnection, for multi-hop peer
+#: lookup.
+_GLOBAL_META_REGISTRY: Dict[Tuple[Simulator, int, bool],
+                            MptcpConnection] = {}

@@ -30,7 +30,6 @@ from .base import ConnectionCallbacks, TransportStack
 
 __all__ = ["QuicStack", "QuicConnection", "QuicStream"]
 
-_connection_ids = itertools.count(1)
 
 #: Packet-number reordering threshold for loss declaration (RFC 9002).
 PACKET_THRESHOLD = 3
@@ -116,7 +115,7 @@ class QuicStack(TransportStack):
         """Open a connection (1-RTT handshake)."""
         conn = QuicConnection(self, dst_address, dst_port,
                               callbacks or ConnectionCallbacks(),
-                              connection_id=next(_connection_ids),
+                              connection_id=self.sim.new_id("quic_connection"),
                               is_client=True, **options)
         self._connections[conn.connection_id] = conn
         conn._send_initial()

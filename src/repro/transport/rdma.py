@@ -38,8 +38,6 @@ __all__ = ["RdmaStack", "RcQueuePair", "UcQueuePair", "UdQueuePair",
 #: A UD message must fit in one packet.
 RDMA_MAX_UD_PAYLOAD = MTU - DEFAULT_HEADER_BYTES
 
-_qp_numbers = itertools.count(1)
-
 
 class RdmaHeader:
     """BTH-like header: queue pair number + packet sequence number."""
@@ -81,7 +79,7 @@ class RdmaStack:
         classes = {"rc": RcQueuePair, "uc": UcQueuePair, "ud": UdQueuePair}
         if mode not in classes:
             raise ValueError(f"unknown RDMA mode {mode!r}")
-        qp = classes[mode](self, next(_qp_numbers), **options)
+        qp = classes[mode](self, self.sim.new_id("rdma_qp"), **options)
         self._queue_pairs[qp.qp_number] = qp
         return qp
 

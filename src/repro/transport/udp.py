@@ -9,7 +9,6 @@ datagram with a missing fragment after a timeout.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, Optional, Tuple
 
 from ..net.node import Host
@@ -19,7 +18,6 @@ from .base import TransportStack
 
 __all__ = ["UdpHeader", "UdpStack", "UdpSocket"]
 
-_datagram_ids = itertools.count(1)
 
 #: Maximum UDP payload per packet.
 UDP_PAYLOAD = MTU - DEFAULT_HEADER_BYTES
@@ -103,7 +101,7 @@ class UdpSocket:
         """Send a ``size``-byte datagram; returns the datagram id."""
         if size <= 0:
             raise ValueError("datagram size must be positive")
-        datagram_id = next(_datagram_ids)
+        datagram_id = self.sim.new_id("udp_datagram")
         n_fragments = -(-size // UDP_PAYLOAD)
         remaining = size
         for fragment in range(n_fragments):

@@ -9,9 +9,10 @@ loop must leave both untouched.
 
 Each run is short (1-2 ms of simulated time) but long enough to exercise
 the fig5 path flips (TCP SACK recovery, window-blocked MTP routes), the
-fig6 open-loop workload and fig7's two traffic classes.  The ID streams
-are reset per test by ``tests/conftest.py``, so the digests do not depend
-on what ran before.
+fig6 open-loop workload (ECMP hashes host addresses and message ids)
+and fig7's two traffic classes.  Identifiers come from the run's own
+:class:`Simulator`, so a pin holds however the run is reached: first in
+a fresh process, after another experiment, or in a ``sweep_map`` worker.
 
 If a change is *meant* to move the output, regenerate the pins and record
 every moved number in CHANGES.md.
@@ -23,6 +24,7 @@ import pytest
 
 from repro.experiments import (Fig5Config, Fig6Config, Fig7Config, run_fig5,
                                run_fig6, run_fig7)
+from repro.perf import sweep_map
 from repro.sim import Simulator, microseconds, milliseconds
 
 
@@ -60,6 +62,10 @@ GOLDEN = {
         _fig5("mtp"),
         "c58ec455fcdb3e61a62b7af17de85ae85649af05c107749f2faf900547250d70",
         40158),
+    "fig6_ecmp": (
+        _fig6("ecmp"),
+        "4c13cf943cbd6356c248dce65c8fa8a305a86208a7f385a0c7112d0c35bd1231",
+        112913),
     "fig6_spray": (
         _fig6("spray"),
         "c9a2687a96fb093c624ec91a8b706f9963736520068717c289ac8c64954a802c",
@@ -75,10 +81,32 @@ GOLDEN = {
 }
 
 
+def _digest_and_events(name):
+    """Run golden entry ``name`` on a fresh simulator.
+
+    Module-level so ``sweep_map`` can hand it to worker processes.
+    """
+    sim = Simulator()
+    results = GOLDEN[name][0](sim)
+    return (hashlib.sha256(repr(results).encode()).hexdigest(),
+            sim.events_executed)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_matches_golden(name):
-    run, digest, events = GOLDEN[name]
-    sim = Simulator()
-    results = run(sim)
-    assert sim.events_executed == events
-    assert hashlib.sha256(repr(results).encode()).hexdigest() == digest
+    digest, events = _digest_and_events(name)
+    assert events == GOLDEN[name][2]
+    assert digest == GOLDEN[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_independent_of_process_history(name):
+    """Another experiment run first in this process leaves the pin alone."""
+    _digest_and_events("fig5_dctcp" if name == "fig5_mtp" else "fig5_mtp")
+    assert _digest_and_events(name) == GOLDEN[name][1:]
+
+
+def test_parallel_sweep_reproduces_every_pin():
+    names = sorted(GOLDEN)
+    assert (sweep_map(_digest_and_events, names, jobs=2)
+            == [GOLDEN[name][1:] for name in names])

@@ -1,6 +1,6 @@
 """Runtime sanitizers: SanitizingSimulator trips, queue audits, and the
 packet-conservation ledger (clean runs, accounted drops, injected leaks,
-and the fig2/fig5 acceptance runs from the issue).
+and short ledger runs of fig2, fig3, fig5, fig6 and fig7 in every mode).
 """
 
 import pytest
@@ -8,14 +8,30 @@ import pytest
 from repro.analysis import (PacketLedger, SanitizerError, SanitizingSimulator,
                             audit_network_queues, audit_queue)
 from repro.experiments.fig2_proxy import Fig2Config, run_fig2
+from repro.experiments.fig3_one_rpf import Fig3Config, run_fig3
 from repro.experiments.fig5_multipath import Fig5Config, run_fig5
+from repro.experiments.fig6_loadbalance import Fig6Config, run_fig6
+from repro.experiments.fig7_isolation import Fig7Config, run_fig7
 from repro.net import DropTailQueue, Network
 from repro.net.packet import Packet
-from repro.sim import Simulator, microseconds
+from repro.sim import Simulator, microseconds, milliseconds
 
 
 def noop(*args):
     pass
+
+
+#: figure -> run(mode, sim) over a short window, for the ledger runs.
+#: fig6 stops offering messages 1 ms before the end to let them drain.
+SHORT_RUNS = {
+    "fig3": lambda mode, sim: run_fig3(
+        mode, Fig3Config(duration_ns=milliseconds(1)), sim=sim),
+    "fig6": lambda mode, sim: run_fig6(
+        mode, Fig6Config(duration_ns=microseconds(1500)), sim=sim),
+    "fig7": lambda mode, sim: run_fig7(
+        mode, Fig7Config(duration_ns=milliseconds(1),
+                         warmup_ns=microseconds(200)), sim=sim),
+}
 
 
 class Sink:
@@ -269,4 +285,17 @@ class TestExperimentConservation:
                             duration_ns=microseconds(800)), sim=sim)
         report = sim.ledger.finalize(sim)
         assert report.injected > 0
+        assert report.ok, report.summary()
+
+    @pytest.mark.parametrize("figure, mode", [
+        ("fig3", "per_message"), ("fig3", "persistent"),
+        ("fig6", "ecmp"), ("fig6", "spray"), ("fig6", "mtp_lb"),
+        ("fig7", "shared"), ("fig7", "separate"), ("fig7", "fair_share"),
+    ])
+    def test_figure_conserves_packets(self, figure, mode):
+        sim = SanitizingSimulator(PacketLedger())
+        SHORT_RUNS[figure](mode, sim)
+        report = sim.ledger.finalize(sim)
+        assert report.injected > 0
+        assert sim.checks_performed > 0
         assert report.ok, report.summary()

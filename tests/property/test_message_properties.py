@@ -33,7 +33,7 @@ def test_only_tail_is_short(total, cap):
 @given(sizes, payload_caps)
 @settings(max_examples=200)
 def test_offsets_are_prefix_sums(total, cap):
-    message = Message(total, max_payload=cap)
+    message = Message(1, total, max_payload=cap)
     offset = 0
     for pkt_num, size in enumerate(message.packet_sizes):
         assert message.packet_offset(pkt_num) == offset
@@ -44,7 +44,7 @@ def test_offsets_are_prefix_sums(total, cap):
        st.randoms(use_true_random=False))
 @settings(max_examples=200)
 def test_send_state_completes_in_any_ack_order(total, cap, rng):
-    message = Message(min(total, 500_000), max_payload=cap)
+    message = Message(1, min(total, 500_000), max_payload=cap)
     state = SendState(message, dst_address=1, dst_port=2)
     order = list(range(message.n_packets))
     rng.shuffle(order)

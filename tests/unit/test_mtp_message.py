@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import Message, ReceiveState, SendState, fragment_sizes
 from repro.core.message import MTP_MAX_PAYLOAD
+from repro.sim import Simulator
 
 
 class TestFragmentation:
@@ -32,19 +33,24 @@ class TestFragmentation:
 
 class TestMessage:
     def test_unique_ids(self):
-        assert Message(10).msg_id != Message(10).msg_id
+        sim = Simulator()
+        ids = [Message(sim.new_id("message"), 10).msg_id for _ in range(3)]
+        assert ids == [1, 2, 3]
+        # Kinds count independently, and a fresh simulator starts over.
+        assert sim.new_id("address") == 1
+        assert Simulator().new_id("message") == 1
 
     def test_packet_offsets(self):
-        message = Message(250, max_payload=100)
+        message = Message(1, 250, max_payload=100)
         assert [message.packet_offset(i) for i in range(3)] == [0, 100, 200]
 
     def test_offset_out_of_range(self):
-        message = Message(100)
+        message = Message(1, 100)
         with pytest.raises(IndexError):
             message.packet_offset(1)
 
     def test_defaults(self):
-        message = Message(100)
+        message = Message(1, 100)
         assert message.priority == 0
         assert message.tc == "default"
         assert message.payload is None
@@ -52,25 +58,25 @@ class TestMessage:
 
 class TestSendState:
     def test_complete_when_all_acked(self):
-        state = SendState(Message(250, max_payload=100), 1, 2)
+        state = SendState(Message(1, 250, max_payload=100), 1, 2)
         assert not state.complete
         for pkt in range(3):
             assert state.mark_acked(pkt)
         assert state.complete
 
     def test_duplicate_ack_ignored(self):
-        state = SendState(Message(100), 1, 2)
+        state = SendState(Message(1, 100), 1, 2)
         assert state.mark_acked(0)
         assert not state.mark_acked(0)
 
     def test_pending_packets_sorted(self):
-        state = SendState(Message(300, max_payload=100), 1, 2)
+        state = SendState(Message(1, 300, max_payload=100), 1, 2)
         state.inflight[2] = (0, False)
         state.inflight[0] = (0, False)
         assert state.pending_packets() == [0, 2]
 
     def test_unsent_counter(self):
-        state = SendState(Message(300, max_payload=100), 1, 2)
+        state = SendState(Message(1, 300, max_payload=100), 1, 2)
         assert state.unsent_packets() == 3
         state.next_to_send = 2
         assert state.unsent_packets() == 1
