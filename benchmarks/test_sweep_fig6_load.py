@@ -11,9 +11,8 @@ away (it is exactly what Figure 7 exploits for isolation).
 
 import os
 
-from repro.experiments import Fig6Config, compare_fig6
+from repro.experiments import Fig6Config, compare_fig6, sweep_map
 from repro.experiments.common import format_table
-from repro.perf import sweep_map
 from repro.sim import milliseconds
 
 LOADS = (0.3, 0.55, 0.75)

@@ -19,9 +19,8 @@ import os
 
 import pytest
 
-from repro.experiments import Fig5Config, run_fig5
+from repro.experiments import Fig5Config, run_fig5, sweep_map
 from repro.experiments.common import format_table
-from repro.perf import sweep_map
 from repro.sim import microseconds, milliseconds
 
 PERIODS_US = (96, 384, 1536)

@@ -10,8 +10,8 @@ Three opt-in layers, ordered by cost:
   (``enqueued − dequeued == resident``, byte totals match).
 * :class:`PacketLedger` — end-of-run packet conservation.  Attach it to a
   simulator (``sim.ledger = PacketLedger()``) *before* building the
-  topology; hosts, switches, and ports then report every packet's life
-  events, and :meth:`PacketLedger.finalize` checks
+  topology (later assignment raises); hosts, switches, and ports then
+  report every packet's life events, and :meth:`PacketLedger.finalize` checks
 
       injected == delivered + dropped + consumed + in-flight
 
@@ -206,11 +206,12 @@ class ConservationReport:
 class PacketLedger:
     """Tracks every packet from injection to a terminal event.
 
-    Hosts, switches, and ports consult ``sim.ledger`` on each life event, so
-    attaching is just ``sim.ledger = PacketLedger()`` *before* the topology
-    is built (ports self-register at construction; late attachment works but
-    packets already in flight are reported as "untracked" instead of
-    leaked).
+    Hosts, switches, and ports read ``sim.ledger`` once, at construction,
+    and report each packet's life events to it, so attaching is just
+    ``sim.ledger = PacketLedger()`` (or ``SanitizingSimulator(ledger=...)``)
+    *before* the topology is built; ports self-register as they are made.
+    Assigning ``sim.ledger`` after the first node exists raises
+    :class:`~repro.sim.engine.SimulationError`.
     """
 
     def __init__(self) -> None:
@@ -229,13 +230,6 @@ class PacketLedger:
     def register_port(self, port: Port) -> None:
         """Called by :class:`~repro.net.link.Port` at construction."""
         self._ports.append(port)
-
-    def register_network(self, network) -> None:
-        """Register every existing port of a built network (late attach)."""
-        for link in network.links:
-            for port in (link.port_a, link.port_b):
-                if port not in self._ports:
-                    self._ports.append(port)
 
     # -- life events (called from repro.net) -----------------------------
 

@@ -11,6 +11,9 @@
 | Figure 8 | :mod:`.fig8_failover`   | ``run_fig8``, ``compare_fig8`` |
 | Ablations| :mod:`.ablations`       | ``ablate_*`` |
 
+:func:`sweep_map` (:mod:`.parallel`) fans independent experiment points
+out over worker processes; the ablations and ``--jobs N`` use it.
+
 Figure 8 is this reproduction's extension: the paper argues that message
 transport plus pathlet scoping makes failure recovery local and fast;
 fig8 demonstrates it under a scripted chaos schedule (link flap, offload
@@ -28,6 +31,7 @@ from .fig6_loadbalance import (Fig6Config, Fig6Result, compare_fig6,
 from .fig7_isolation import Fig7Config, Fig7Result, compare_fig7, run_fig7
 from .fig8_failover import (Fig8Config, Fig8Result, TelemetryOffload,
                             compare_fig8, run_fig8)
+from .parallel import sweep_map
 from .table1 import PAPER_TABLE, REQUIREMENTS, render_paper_table, run_probes
 
 __all__ = [
@@ -41,5 +45,5 @@ __all__ = [
     "PAPER_TABLE", "REQUIREMENTS", "render_paper_table", "run_probes",
     "ablate_pathlet_granularity", "ablate_feedback_types",
     "ablate_message_atomicity",
-    "format_table", "series_stats",
+    "format_table", "series_stats", "sweep_map",
 ]

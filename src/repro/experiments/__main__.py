@@ -21,7 +21,6 @@ import argparse
 import sys
 import time
 
-from ..perf import sweep_map
 from ..sim import milliseconds
 from .ablations import (ablate_feedback_types, ablate_message_atomicity,
                         ablate_pathlet_granularity)
@@ -32,6 +31,7 @@ from .fig5_multipath import Fig5Config, compare_fig5
 from .fig6_loadbalance import Fig6Config, compare_fig6
 from .fig7_isolation import Fig7Config, compare_fig7
 from .fig8_failover import Fig8Config, compare_fig8
+from .parallel import sweep_map
 from .table1 import (BASELINE_LIMIT_PROBES, PROBES, render_paper_table,
                      run_baseline_probes, run_probes)
 
@@ -196,8 +196,9 @@ EXPERIMENTS = {
 def _run_experiment(job):
     """Sweep worker: one ``(name, quick)`` point -> ``(name, report, s)``.
 
-    Module-level so :func:`repro.perf.sweep_map` can pickle it into
-    worker processes when ``--jobs N`` fans experiments out.
+    Module-level so :func:`~repro.experiments.parallel.sweep_map` can
+    pickle it into worker processes when ``--jobs N`` fans experiments
+    out.
     """
     name, quick = job
     started = time.time()

@@ -12,8 +12,8 @@ decisions").
 
 Each driver takes a ``jobs`` argument: ablation points are independent
 simulations, so they fan out over worker processes via
-:func:`repro.perf.sweep_map`.  Results are merged in point order —
-output is identical for any ``jobs`` value.
+:func:`~repro.experiments.parallel.sweep_map`.  Results are merged in
+point order — output is identical for any ``jobs`` value.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from ..core import (BlobReceiver, BlobSender, DelayFeedbackSource,
                     EcnFeedbackSource, MtpStack, PathletRegistry,
                     RateFeedbackSource)
 from ..net import DropTailQueue, Network, RateMonitor
-from ..perf import sweep_map
 from ..sim import Simulator, gbps, microseconds, milliseconds
 from .fig5_multipath import Fig5Config, Fig5Result, run_fig5
 from .fig6_loadbalance import Fig6Config, Fig6Result, run_fig6
+from .parallel import sweep_map
 
 __all__ = ["ablate_pathlet_granularity", "ablate_feedback_types",
            "ablate_message_atomicity", "FEEDBACK_SOURCES"]

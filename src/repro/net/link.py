@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ..sim.engine import Simulator
-from ..sim.units import transmission_delay
+from ..sim.units import SECOND
 from .packet import Packet
 from .queues import DropTailQueue, QueueDiscipline
 
@@ -21,6 +21,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["Port", "Link", "DEFAULT_QUEUE_CAPACITY",
            "DEFAULT_HOST_QUEUE_CAPACITY"]
+
+#: Nanoseconds one byte occupies a 1 bit/s transmitter.
+_BYTE_NS = 8 * SECOND
 
 #: Queue capacity used when a topology does not specify one (packets).
 DEFAULT_QUEUE_CAPACITY = 256
@@ -48,8 +51,10 @@ class Port:
         self.queue = queue if queue is not None else DropTailQueue(
             DEFAULT_QUEUE_CAPACITY)
         self.name = name or f"{node.name}.port{len(node.ports)}"
-        if sim.ledger is not None:
-            sim.ledger.register_port(self)
+        #: Read once: the simulator refuses a ledger attached later.
+        self._ledger = sim.freeze_ledger()
+        if self._ledger is not None:
+            self._ledger.register_port(self)
         self.peer: Optional["Node"] = None
         self.peer_port: Optional["Port"] = None
         self._busy = False
@@ -69,6 +74,9 @@ class Port:
         #: Optional hook called with each packet as it completes serialization
         #: (used by monitors and in-network telemetry).
         self.on_transmit: Optional[Callable[[Packet], None]] = None
+        # The two wire events, bound once instead of once per packet.
+        self._finish_event = self._finish_transmission
+        self._deliver_event = self._deliver
 
     def send(self, packet: Packet) -> bool:
         """Queue ``packet`` for transmission; returns False when it was dropped."""
@@ -78,11 +86,11 @@ class Port:
             # A downed link refuses egress outright: the packet is lost at
             # the NIC, mirroring a cable pull / interface-down.
             self.link_down_drops += 1
-            if self.sim.ledger is not None:
-                self.sim.ledger.packet_dropped(packet, self.name, "link_down")
+            if self._ledger is not None:
+                self._ledger.packet_dropped(packet, self.name, "link_down")
             return False
-        accepted = self.queue.enqueue(packet, self.sim.now)
-        ledger = self.sim.ledger
+        accepted = self.queue.enqueue(packet, self.sim._now)
+        ledger = self._ledger
         if ledger is not None:
             if accepted:
                 ledger.packet_enqueued(packet, self.name)
@@ -127,30 +135,33 @@ class Port:
         if not self.up:
             self._busy = False
             return
-        packet = self.queue.dequeue(self.sim.now)
+        sim = self.sim
+        now = sim._now
+        packet = self.queue.dequeue(now)
         if packet is None:
             self._busy = False
             return
-        if self.sim.ledger is not None:
-            self.sim.ledger.packet_wire(packet, self.name)
+        if self._ledger is not None:
+            self._ledger.packet_wire(packet, self.name)
         self._busy = True
-        tx_delay = transmission_delay(packet.size, self.rate_bps)
-        self.busy_until = self.sim.now + tx_delay
+        # transmission_delay(packet.size, self.rate_bps), inlined: the
+        # rate was checked positive at construction.
+        tx_delay = -(-packet.size * _BYTE_NS // self.rate_bps)
+        self.busy_until = now + tx_delay
         # Serialization completions are never cancelled: use the
         # handle-free fast path (one tuple instead of tuple + handle).
         # The epoch rides along so a completion scheduled before an
         # outage is recognised as belonging to a dead wire.
-        self.sim.schedule_fast(tx_delay, self._finish_transmission, packet,
-                               self.down_epoch)
+        sim.schedule_fast(tx_delay, self._finish_event, packet,
+                          self.down_epoch)
 
     def _finish_transmission(self, packet: Packet, epoch: int = -1) -> None:
         if epoch != self.down_epoch or not self.up:
             # The link dropped while this packet was serializing: the
             # partial frame is lost on the floor.
             self.link_down_drops += 1
-            if self.sim.ledger is not None:
-                self.sim.ledger.packet_dropped(packet, self.name,
-                                               "link_down")
+            if self._ledger is not None:
+                self._ledger.packet_dropped(packet, self.name, "link_down")
             return
         self.bytes_transmitted += packet.size
         self.packets_transmitted += 1
@@ -158,7 +169,7 @@ class Port:
             self.on_transmit(packet)
         # Propagation: packet arrives at the peer after the link delay.
         # Packets on the wire cannot be recalled — fast path again.
-        self.sim.schedule_fast(self.delay_ns, self._deliver, packet,
+        self.sim.schedule_fast(self.delay_ns, self._deliver_event, packet,
                                self.down_epoch)
         self._transmit_next()
 
@@ -167,9 +178,8 @@ class Port:
         if epoch != self.down_epoch or not self.up:
             # The link went down mid-propagation: the bits never arrive.
             self.link_down_drops += 1
-            if self.sim.ledger is not None:
-                self.sim.ledger.packet_dropped(packet, self.name,
-                                               "link_down")
+            if self._ledger is not None:
+                self._ledger.packet_dropped(packet, self.name, "link_down")
             return
         self.peer.receive(packet, self.peer_port)
 

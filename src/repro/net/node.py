@@ -42,6 +42,12 @@ class PacketProcessor(Protocol):
         """Inspect/transform one packet."""
 
 
+#: Per-packet node counters, kept as plain int attributes of the node and
+#: read through ``node.counters`` like every other counter.
+PACKET_COUNTERS = ("rx_packets", "rx_bytes", "tx_packets", "tx_bytes",
+                   "forwarded", "dropped")
+
+
 class Node:
     """Base class for anything attached to links."""
 
@@ -50,7 +56,15 @@ class Node:
         self.name = name
         self.address: int = sim.new_id("address")
         self.ports: List["Port"] = []
-        self.counters = Counter()
+        #: Read once: the simulator refuses a ledger attached later.
+        self._ledger = sim.freeze_ledger()
+        self.rx_packets = 0
+        self.rx_bytes = 0
+        self.tx_packets = 0
+        self.tx_bytes = 0
+        self.forwarded = 0
+        self.dropped = 0
+        self.counters = Counter(self, PACKET_COUNTERS)
 
     def attach_port(self, port: "Port") -> None:
         """Register a newly created port (called by :class:`~repro.net.link.Link`)."""
@@ -102,14 +116,14 @@ class Host(Node):
 
     def send(self, packet: Packet) -> bool:
         """Transmit ``packet`` out of the appropriate port."""
-        self.counters.add("tx_packets")
-        self.counters.add("tx_bytes", packet.size)
-        if self.sim.ledger is not None:
-            self.sim.ledger.packet_injected(packet, self.name)
+        self.tx_packets += 1
+        self.tx_bytes += packet.size
+        if self._ledger is not None:
+            self._ledger.packet_injected(packet, self.name)
         return self.egress_port(packet.dst).send(packet)
 
     def receive(self, packet: Packet, ingress: "Port") -> None:
-        ledger = self.sim.ledger
+        ledger = self._ledger
         if ledger is not None:
             ledger.packet_arrived(packet, self.name)
         if packet.dst != self.address:
@@ -125,8 +139,8 @@ class Host(Node):
             if ledger is not None:
                 ledger.packet_dropped(packet, self.name, "checksum")
             return
-        self.counters.add("rx_packets")
-        self.counters.add("rx_bytes", packet.size)
+        self.rx_packets += 1
+        self.rx_bytes += packet.size
         handler = self._protocols.get(packet.protocol)
         if handler is None:
             self.counters.add("no_protocol")
@@ -167,11 +181,11 @@ class Switch(Node):
 
     def candidate_ports(self, dst_address: int) -> List["Port"]:
         """Candidate egress ports for ``dst_address`` (raises if unroutable)."""
-        try:
-            return self._table[dst_address]
-        except KeyError:
+        candidates = self._table.get(dst_address)
+        if candidates is None:
             raise LookupError(
-                f"{self.name} has no route to address {dst_address}") from None
+                f"{self.name} has no route to address {dst_address}")
+        return candidates
 
     def crash(self) -> None:
         """Crash the switch: offload state lost, queues flushed, links down.
@@ -191,7 +205,7 @@ class Switch(Node):
             if hook is not None:
                 hook(self)
         self.processors.clear()
-        ledger = self.sim.ledger
+        ledger = self._ledger
         for port in self.ports:
             while True:
                 packet = port.queue.dequeue(self.sim.now)
@@ -223,7 +237,7 @@ class Switch(Node):
                 port.peer_port.set_up()
 
     def receive(self, packet: Packet, ingress: "Port") -> None:
-        ledger = self.sim.ledger
+        ledger = self._ledger
         if not self.alive:
             # A crashed switch is a black hole: anything that still
             # reaches it (e.g. delivered in the same tick as the crash)
@@ -233,11 +247,14 @@ class Switch(Node):
                 ledger.packet_arrived(packet, self.name)
                 ledger.packet_dropped(packet, self.name, "switch_down")
             return
-        self.counters.add("rx_packets")
+        self.rx_packets += 1
         if ledger is not None:
             ledger.packet_arrived(packet, self.name)
         if self.record_hops:
             packet.hops.append(self.name)
+        if not self.processors:
+            self.forward(packet)
+            return
         packets: List[Packet] = [packet]
         for processor in self.processors:
             next_packets: List[Packet] = []
@@ -258,36 +275,38 @@ class Switch(Node):
 
     def forward(self, packet: Packet) -> None:
         """Route one packet to an egress port and enqueue it."""
-        if self.sim.ledger is not None:
+        ledger = self._ledger
+        if ledger is not None:
             # Offloads inject brand-new packets (in-network ACKs, aggregated
             # gradients, cache answers) straight through forward().
-            self.sim.ledger.packet_forwarded(packet, self.name)
-        try:
-            candidates = self.candidate_ports(packet.dst)
-        except LookupError:
+            ledger.packet_forwarded(packet, self.name)
+        candidates = self._table.get(packet.dst)
+        if candidates is None:
             self.counters.add("no_route")
-            if self.sim.ledger is not None:
-                self.sim.ledger.packet_dropped(packet, self.name, "no_route")
+            if ledger is not None:
+                ledger.packet_dropped(packet, self.name, "no_route")
             return
-        candidates = self._honour_exclusions(packet, candidates)
+        if self.pathlet_lookup is not None:
+            candidates = self._honour_exclusions(packet, candidates)
         if len(candidates) == 1 or self.selector is None:
             port = candidates[0]
         else:
-            port = self.selector.select(packet, candidates, self.sim.now)
+            port = self.selector.select(packet, candidates, self.sim._now)
         if port.send(packet):
-            self.counters.add("forwarded")
+            self.forwarded += 1
         else:
-            self.counters.add("dropped")
+            self.dropped += 1
 
     def _honour_exclusions(self, packet: Packet,
                            candidates: List["Port"]) -> List["Port"]:
         """Filter out ports whose pathlet the sender asked to avoid.
 
-        Only applies when a pathlet lookup is configured and the packet's
-        header carries a non-empty exclude list; if every candidate is
-        excluded, the original set is used (the network must still deliver).
+        Only called when a pathlet lookup is configured; applies when the
+        packet's header carries a non-empty exclude list.  If every
+        candidate is excluded, the original set is used (the network must
+        still deliver).
         """
-        if self.pathlet_lookup is None or len(candidates) <= 1:
+        if len(candidates) <= 1:
             return candidates
         excluded = getattr(packet.header, "path_exclude", None)
         if not excluded:

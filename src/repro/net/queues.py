@@ -371,7 +371,8 @@ class FairShareQueue(QueueDiscipline):
 
     def active_entities(self) -> int:
         """Entities with at least one packet currently queued."""
-        return sum(1 for count in self._per_entity.values() if count > 0)
+        # _next removes an entity when its count reaches zero.
+        return len(self._per_entity)
 
     def fair_share(self) -> float:
         """Per-entity fair share of the buffer, in packets."""

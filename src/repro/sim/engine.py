@@ -9,8 +9,9 @@ path (packet arrivals, serialization completions), and :class:`Timer` for
 restartable timeouts (retransmission timers and the like).
 
 **Heap entries and the tuple-ordering invariant.**  Entries are plain
-tuples: ``(time, seq, handle)`` for cancellable events and
-``(time, seq, callback, args)`` for fast events.  ``seq`` is unique per
+4-tuples: ``(time, seq, handle, None)`` for cancellable events and
+``(time, seq, callback, args)`` for fast events, whose ``args`` is always
+a tuple, so ``args is None`` tells the two apart.  ``seq`` is unique per
 simulator, so tuple comparison — which is C-level, and what every heap
 operation uses — is always decided by ``(time, seq)`` and never reaches
 element 2.  :class:`EventHandle` therefore deliberately defines **no**
@@ -22,13 +23,16 @@ they dominate it (each compaction removes at least half the heap, paid
 for by the cancellations accumulated since the last one).
 
 Correctness tooling (see ``repro.analysis``) plugs in through two optional
-hooks that cost one branch per event when unused:
+hooks:
 
 * :meth:`Simulator.add_event_hook` — called as ``hook(time, callback, args)``
   just before each event executes; the replay-divergence detector and the
-  sanitizing simulator both build on it.
-* :attr:`Simulator.ledger` — an optional packet-conservation ledger consulted
-  by hosts, switches, and ports (``repro.analysis.sanitize.PacketLedger``).
+  sanitizing simulator both build on it.  A hook added while the
+  simulator runs sees every later event.
+* :attr:`Simulator.ledger` — an optional packet-conservation ledger
+  (``repro.analysis.sanitize.PacketLedger``).  Hosts, switches, and ports
+  read it once, when they are built, so it must be attached first:
+  assigning it after the first node exists raises :class:`SimulationError`.
 
 Subclasses that observe or check scheduling override :meth:`Simulator.at`
 and :meth:`Simulator.schedule_fast`: every cancellable event, including
@@ -52,7 +56,10 @@ __all__ = ["Simulator", "EventHandle", "Timer", "SimulationError"]
 #: lazily-cancelled entries (keeps tiny heaps out of the bookkeeping).
 COMPACT_MIN_CANCELLED = 64
 
-#: A heap entry: ``(time, seq, handle)`` or
+#: ``run``'s time limit when none is given: later than any integer time.
+_FOREVER = float("inf")
+
+#: A heap entry: ``(time, seq, handle, None)`` or
 #: ``(time, seq, callback, args)`` — see the module docstring.
 Entry = Tuple[Any, ...]
 
@@ -72,7 +79,7 @@ class EventHandle:
     heap when lazy-cancelled entries dominate it.
 
     Handles are **never compared**: heap entries are
-    ``(time, seq, handle)`` tuples whose comparison is decided by the
+    ``(time, seq, handle, None)`` tuples whose comparison is decided by the
     unique ``(time, seq)`` prefix, so this class intentionally defines no
     ordering methods (see the module docstring).
     """
@@ -117,26 +124,27 @@ class Simulator:
     cancellation and amortised compaction (see the module docstring).
     """
 
-    __slots__ = ("_queue", "_cancelled", "_pending", "_now", "_seq",
-                 "_running", "_stopped", "_event_hooks", "events_executed",
-                 "ledger", "_id_streams")
+    __slots__ = ("_queue", "_cancelled", "_now", "_seq", "_running",
+                 "_stopped", "_event_hooks", "events_executed", "_ledger",
+                 "_ledger_frozen", "_id_streams")
 
     def __init__(self) -> None:
         self._queue: List[Entry] = []
-        #: Lazily-cancelled entries still sitting in the heap.
+        #: Lazily-cancelled entries still sitting in the heap; every other
+        #: entry is live, so ``len(_queue) - _cancelled`` is the pending count.
         self._cancelled = 0
-        #: Live (uncancelled, unfired) entries.
-        self._pending = 0
         self._now: int = 0
         self._seq: int = 0
         self._running = False
         self._stopped = False
         #: Pre-execution observers (replay tracing, sanitizers).
         self._event_hooks: List[Callable[[int, Callable, Tuple], None]] = []
+        #: Events executed so far; the run loop counts in a local and
+        #: stores it here when :meth:`run` returns or raises.
         self.events_executed: int = 0
-        #: Optional packet-conservation ledger (repro.analysis.sanitize);
-        #: hosts, switches, and ports consult it when set.
-        self.ledger: Optional[Any] = None
+        self._ledger: Optional[Any] = None
+        #: Set once a component has read the ledger (:meth:`freeze_ledger`).
+        self._ledger_frozen = False
         #: kind -> identifier stream (see :meth:`new_id`).
         self._id_streams: DefaultDict[str, Iterator[int]] = defaultdict(
             lambda: itertools.count(1))
@@ -145,6 +153,35 @@ class Simulator:
     def now(self) -> int:
         """Current virtual time in nanoseconds."""
         return self._now
+
+    @property
+    def ledger(self) -> Optional[Any]:
+        """Optional packet-conservation ledger (repro.analysis.sanitize).
+
+        Hosts, switches, and ports read it once, at construction (see
+        :meth:`freeze_ledger`), and report each packet's life events to
+        it.  Attach it before building the topology: assigning it after
+        the first node exists raises :class:`SimulationError`, because
+        the components built so far would never report to it.
+        """
+        return self._ledger
+
+    @ledger.setter
+    def ledger(self, ledger: Optional[Any]) -> None:
+        if self._ledger_frozen:
+            raise SimulationError(
+                "attach the ledger before building the topology: nodes "
+                "and ports read it once, at construction")
+        self._ledger = ledger
+
+    def freeze_ledger(self) -> Optional[Any]:
+        """Return :attr:`ledger` for a network component to keep.
+
+        Called by every node and port at construction.  From then on the
+        ledger can no longer be replaced.
+        """
+        self._ledger_frozen = True
+        return self._ledger
 
     def new_id(self, kind: str) -> int:
         """Next identifier of ``kind`` ("address", "message", ...) in this run.
@@ -169,8 +206,7 @@ class Simulator:
                 f"cannot schedule at {format_time(time)}, "
                 f"now is {format_time(self._now)}")
         handle = EventHandle(time, self._seq, callback, args, self)
-        heapq.heappush(self._queue, (time, self._seq, handle))
-        self._pending += 1
+        heapq.heappush(self._queue, (time, self._seq, handle, None))
         self._seq += 1
         return handle
 
@@ -188,7 +224,6 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
         heapq.heappush(self._queue,
                        (self._now + delay, self._seq, callback, args))
-        self._pending += 1
         self._seq += 1
 
     def stop(self) -> None:
@@ -214,7 +249,6 @@ class Simulator:
     def _note_cancelled(self) -> None:
         """Record that a queued event was lazily cancelled (see EventHandle)."""
         self._cancelled += 1
-        self._pending -= 1
 
     def _compact(self) -> None:
         """Rebuild the heap without lazily-cancelled entries (O(n)).
@@ -223,7 +257,7 @@ class Simulator:
         """
         queue = self._queue
         queue[:] = [entry for entry in queue
-                    if len(entry) != 3 or not entry[2].cancelled]
+                    if entry[3] is not None or not entry[2].cancelled]
         heapq.heapify(queue)
         self._cancelled = 0
 
@@ -235,7 +269,7 @@ class Simulator:
             self._compact()
         while queue:
             head = queue[0]
-            if len(head) == 3 and head[2].cancelled:
+            if head[3] is None and head[2].cancelled:
                 heapq.heappop(queue)
                 self._cancelled -= 1
                 continue
@@ -256,6 +290,8 @@ class Simulator:
         queue = self._queue
         heappop = heapq.heappop
         hooks = self._event_hooks
+        limit = _FOREVER if until is None else until
+        executed = self.events_executed
         try:
             while not self._stopped:
                 if (self._cancelled > COMPACT_MIN_CANCELLED
@@ -265,31 +301,33 @@ class Simulator:
                     break
                 # Peek before popping: an out-of-window head stays queued,
                 # so bounded runs (run_for loops) never pop and re-push it.
-                entry = queue[0]
-                if len(entry) == 3 and entry[2].cancelled:
+                time, _, callback, args = queue[0]
+                if args is not None:
+                    if time > limit:
+                        break
                     heappop(queue)
-                    self._cancelled -= 1
-                    continue
-                if until is not None and entry[0] > until:
-                    break
-                heappop(queue)
-                self._pending -= 1
-                self._now = entry[0]
-                if len(entry) == 3:
-                    event = entry[2]
+                else:
+                    event = callback
+                    if event.cancelled:
+                        heappop(queue)
+                        self._cancelled -= 1
+                        continue
+                    if time > limit:
+                        break
+                    heappop(queue)
                     callback, args = event.callback, event.args
                     # Release references so a held handle cannot keep large
                     # packet payloads alive after the event has fired.
                     event.callback = None
                     event.args = ()
-                else:
-                    callback, args = entry[2], entry[3]
-                self.events_executed += 1
+                self._now = time
+                executed += 1
                 if hooks:
                     for hook in hooks:
-                        hook(entry[0], callback, args)
+                        hook(time, callback, args)
                 callback(*args)
         finally:
+            self.events_executed = executed
             self._running = False
         if until is not None and self._now < until and not self._stopped:
             self._now = until
@@ -301,7 +339,7 @@ class Simulator:
 
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued.  O(1)."""
-        return self._pending
+        return len(self._queue) - self._cancelled
 
     def queued_entries(self) -> int:
         """Physical heap entries, including lazily-cancelled junk.

@@ -9,8 +9,11 @@ loop must leave both untouched.
 
 Each run is short (1-2 ms of simulated time) but long enough to exercise
 the fig5 path flips (TCP SACK recovery, window-blocked MTP routes), the
-fig6 open-loop workload (ECMP hashes host addresses and message ids)
-and fig7's two traffic classes.  Identifiers come from the run's own
+fig6 open-loop workload (ECMP hashes host addresses and message ids),
+fig7's two traffic classes over its DropTail, DRR and FairShare queues,
+fig3's per-message and persistent TCP connections, fig2's proxy, and
+fig8's fault schedule (a link that goes down drops the packets still
+serializing or propagating on it).  Identifiers come from the run's own
 :class:`Simulator`, so a pin holds however the run is reached: first in
 a fresh process, after another experiment, or in a ``sweep_map`` worker.
 
@@ -22,9 +25,10 @@ import hashlib
 
 import pytest
 
-from repro.experiments import (Fig5Config, Fig6Config, Fig7Config, run_fig5,
-                               run_fig6, run_fig7)
-from repro.perf import sweep_map
+from repro.experiments import (Fig2Config, Fig3Config, Fig5Config,
+                               Fig6Config, Fig7Config, Fig8Config, run_fig2,
+                               run_fig3, run_fig5, run_fig6, run_fig7,
+                               run_fig8, sweep_map)
 from repro.sim import Simulator, microseconds, milliseconds
 
 
@@ -49,6 +53,36 @@ def _fig7(system):
                             warmup_ns=microseconds(200))
         result = run_fig7(system, config, sim=sim)
         return sorted(result.tenant_goodput_bps.items())
+    return run
+
+
+def _fig3(mode):
+    def run(sim):
+        config = Fig3Config(duration_ns=milliseconds(1))
+        result = run_fig3(mode, config, sim=sim)
+        return result.series, result.messages_completed
+    return run
+
+
+def _fig2(sim):
+    result = run_fig2(Fig2Config(duration_ns=milliseconds(1)), sim=sim)
+    return result.buffer_series, result.server_received, result.client_sent
+
+
+def _fig8(protocol):
+    def run(sim):
+        # The full fault schedule (link flap, offload migration,
+        # corruption window), compressed into 1.2 ms.
+        config = Fig8Config(flap_down_ns=microseconds(300),
+                            flap_up_ns=microseconds(600),
+                            migrate_ns=microseconds(800),
+                            corrupt_start_ns=microseconds(900),
+                            corrupt_stop_ns=microseconds(1100),
+                            duration_ns=microseconds(1200))
+        result = run_fig8(protocol, config, sim=sim)
+        return (result.series, result.applied,
+                [verdict.as_dict() for verdict in result.recoveries],
+                result.failovers, result.retransmissions)
     return run
 
 
@@ -78,6 +112,34 @@ GOLDEN = {
         _fig7("fair_share"),
         "119f39990d01794d971a566012c865a3d9b2e1de8dae3879381c45a89babd543",
         43372),
+    "fig7_shared": (
+        _fig7("shared"),
+        "1bcf68d76be771c6f7caf60ffdc07b4687ef7f3c6c769683b72c99578ec2db03",
+        93826),
+    "fig7_separate": (
+        _fig7("separate"),
+        "c2994f0a119cf680756cbbfa6d222d9a0e0ee4ccb8d8049dbe95ccdb69d170e3",
+        96114),
+    "fig3_per_message": (
+        _fig3("per_message"),
+        "aa2f974d8551ddf06b8717b7d11b542107e7583b736197f479cdebaa29bab787",
+        93096),
+    "fig3_persistent": (
+        _fig3("persistent"),
+        "391fbbdc5d41f3a53aae4945384a98af307bb7a4c04f1a4c8cc40eeab304cbb4",
+        105337),
+    "fig2": (
+        _fig2,
+        "dff6d1a789251b9a9d296f64c25ecc8e2f3a38d40f48811314fafdab1b38fcec",
+        45026),
+    "fig8_dctcp": (
+        _fig8("dctcp"),
+        "ba41a58639577f900591b9d202bb81129bffae611d3249b15a0d1ac7795daee2",
+        33378),
+    "fig8_mtp": (
+        _fig8("mtp"),
+        "e65b3c946ce3eb9b2fde1ddcea5a7c0482889fe143392a3db32c13a42ef557e6",
+        11985),
 }
 
 

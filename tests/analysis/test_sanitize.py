@@ -14,7 +14,8 @@ from repro.experiments.fig6_loadbalance import Fig6Config, run_fig6
 from repro.experiments.fig7_isolation import Fig7Config, run_fig7
 from repro.net import DropTailQueue, Network
 from repro.net.packet import Packet
-from repro.sim import Simulator, microseconds, milliseconds
+from repro.sim import (SimulationError, Simulator, microseconds,
+                       milliseconds)
 
 
 def noop(*args):
@@ -186,6 +187,16 @@ class LeakyQueue(DropTailQueue):
 
 
 class TestPacketLedger:
+    def test_attach_after_first_node_rejected(self):
+        # Nodes and ports read the ledger once, when they are built: a
+        # ledger attached later would audit none of them.
+        sim = Simulator()
+        sim.ledger = None  # replacing before any node exists is fine
+        Network(sim).add_host("a")
+        with pytest.raises(SimulationError):
+            sim.ledger = PacketLedger()
+        assert sim.ledger is None
+
     def test_clean_run_conserves(self):
         sim = Simulator()
         sim.ledger = PacketLedger()

@@ -6,6 +6,7 @@ on.  The kernel has one, a binary heap, so test ids read ``[heap]``.
 
 import pytest
 
+from repro.analysis.replay import EventTrace
 from repro.sim import SimulationError, Simulator, Timer
 from repro.sim.engine import COMPACT_MIN_CANCELLED
 
@@ -68,6 +69,54 @@ class TestScheduling:
             sim.schedule(1, lambda: None)
         sim.run()
         assert sim.events_executed == 7
+
+
+class TestRunLoopBookkeeping:
+    """The run loop counts events in a local and checks hooks in place."""
+
+    def test_recorder_attached_mid_run_sees_every_later_event(self, sim):
+        trace = EventTrace()
+        for tick in range(1, 6):
+            sim.schedule(tick, lambda: None)
+        sim.schedule(3, trace.attach, sim)   # fires after the t=3 no-op
+        sim.schedule_fast(4, lambda: None)
+        sim.run()
+        # The t=4 timer, the t=4 fast event and the t=5 timer.
+        assert list(trace.times) == [4, 4, 5]
+        assert sim.events_executed == 7
+
+    def test_events_executed_exact_after_stop(self, sim):
+        for tick in range(1, 6):
+            sim.schedule(tick, lambda: None)
+        sim.schedule(2, sim.stop)
+        sim.run()
+        assert sim.events_executed == 3
+        sim.run()
+        assert sim.events_executed == 6
+
+    def test_events_executed_exact_after_callback_raises(self, sim):
+        def boom():
+            raise RuntimeError("boom")
+
+        for tick in range(1, 6):
+            sim.schedule(tick, lambda: None)
+        sim.schedule_fast(3, boom)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        # The raising event counts: it was popped and started.
+        assert sim.events_executed == 4
+        assert sim.now == 3
+        sim.run()
+        assert sim.events_executed == 6
+
+    def test_pending_events_during_run(self, sim):
+        seen = []
+        sim.schedule(1, lambda: seen.append(sim.pending_events()))
+        sim.schedule(2, lambda: None).cancel()
+        sim.schedule_fast(3, lambda: None)
+        sim.run()
+        assert seen == [1]
+        assert sim.pending_events() == 0
 
 
 class TestCancellation:

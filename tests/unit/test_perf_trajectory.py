@@ -1,4 +1,4 @@
-"""repro.perf plumbing: sweep_map's serial and process-parallel fan-out.
+"""sweep_map's serial and process-parallel fan-out (repro.experiments).
 
 The parallel path must merge results in input order so a sweep's output
 does not depend on ``jobs``.
@@ -6,7 +6,7 @@ does not depend on ``jobs``.
 
 import os
 
-from repro.perf import sweep_map
+from repro.experiments import sweep_map
 
 
 def _square(value):

@@ -56,3 +56,16 @@ class TestCounter:
         snapshot = counter.as_dict()
         counter.add("a")
         assert snapshot == {"a": 2}
+
+    def test_owner_fields_read_through(self):
+        class Owner:
+            forwarded = 0
+
+        owner = Owner()
+        counter = Counter(owner, ("forwarded",))
+        owner.forwarded += 3
+        counter.add("forwarded")
+        counter.add("no_route")
+        assert owner.forwarded == 4
+        assert counter.get("forwarded") == 4
+        assert counter.as_dict() == {"no_route": 1, "forwarded": 4}

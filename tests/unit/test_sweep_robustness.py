@@ -6,7 +6,7 @@ campaign with the exception the experiment raised.
 
 import pytest
 
-from repro.perf import sweep_map
+from repro.experiments import sweep_map
 
 
 def _boom(value):
