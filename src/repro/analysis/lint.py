@@ -58,7 +58,8 @@ class LintConfig:
         return [rule for rule in rules if rule.rule_id in self.select]
 
 
-def _suppressions(source_lines: Sequence[str]) -> Dict[int, Optional[Set[str]]]:
+def _suppressions(
+        source_lines: Sequence[str]) -> Dict[int, Optional[Set[str]]]:
     """Map 1-based line number -> suppressed rule ids (None = all rules)."""
     table: Dict[int, Optional[Set[str]]] = {}
     for lineno, line in enumerate(source_lines, start=1):

@@ -1,4 +1,4 @@
-"""Runtime sanitizers: kernel invariants, queue accounting, packet conservation.
+"""Runtime sanitizers: kernel invariants, queue accounting, conservation.
 
 Three opt-in layers, ordered by cost:
 
@@ -280,7 +280,7 @@ class PacketLedger:
     def packet_transformed(self, original: Packet,
                            replacements: List[Packet],
                            component: str) -> None:
-        """An offload replaced ``original`` with ``replacements`` (maybe [])."""
+        """An offload replaced ``original`` with ``replacements`` (or none)."""
         replacement_uids = {packet.uid for packet in replacements}
         if original.uid not in replacement_uids:
             self.packet_consumed(original, component)

@@ -159,7 +159,7 @@ class RateController(CongestionController):
 
 
 class DelayController(CongestionController):
-    """Swift-style: grow below the delay target, shrink proportionally above."""
+    """Swift-style: grow below the delay target, shrink in proportion above."""
 
     def __init__(self, mss: int = 1460, init_window_segments: int = 10,
                  target_delay_ns: int = microseconds(5),

@@ -7,7 +7,8 @@ the pathlet congestion-control lists:
 * ``path_exclude`` — (path_id, tc) pairs the source asks the network to avoid,
 * ``path_feedback`` — (path_id, tc, feedback) appended by network devices,
 * ``ack_path_feedback`` — the receiver's copy of the feedback it saw,
-* ``sack`` / ``nack`` — (msg_id, pkt_num) selective (negative) acknowledgements.
+* ``sack`` / ``nack`` — (msg_id, pkt_num) selective (negative)
+  acknowledgements.
 
 A binary serialization is provided both to validate the format round-trips
 and to account header overhead realistically (Section 4 discusses that MTP
@@ -76,7 +77,7 @@ class MtpHeader:
     # ------------------------------------------------------------------
 
     def wire_size(self) -> int:
-        """Header size in bytes if serialized (used for overhead accounting)."""
+        """Header size in bytes if serialized (for overhead accounting)."""
         return (FIXED_HEADER_BYTES
                 + len(self.path_exclude) * _EXCLUDE_ENTRY.size
                 + len(self.path_feedback)

@@ -9,7 +9,12 @@
 | Figure 6 | :mod:`.fig6_loadbalance`| ``run_fig6``, ``compare_fig6`` |
 | Figure 7 | :mod:`.fig7_isolation`  | ``run_fig7``, ``compare_fig7`` |
 | Figure 8 | :mod:`.fig8_failover`   | ``run_fig8``, ``compare_fig8`` |
-| Ablations| :mod:`.ablations`       | ``ablate_*`` |
+| Ablations| :mod:`.ablations`       | ``ablate_*``, ``run_ablations`` |
+
+Each module also defines its ``FULL`` and ``QUICK`` configs, a
+``report(results)`` and its ``CLAIMS``; :mod:`.registry` maps the names
+``table1`` ... ``ablations`` to those pieces for the CLI, the benchmarks
+and the tier-1 claim tests.
 
 :func:`sweep_map` (:mod:`.parallel`) fans independent experiment points
 out over worker processes; the ablations and ``--jobs N`` use it.
@@ -20,8 +25,8 @@ fig8 demonstrates it under a scripted chaos schedule (link flap, offload
 migration, corruption window) with packet-conservation auditing on.
 """
 
-from .ablations import (ablate_feedback_types, ablate_message_atomicity,
-                        ablate_pathlet_granularity)
+from .ablations import (ablate_feedback_types, ablate_fig5_feedback,
+                        ablate_message_atomicity, ablate_pathlet_granularity)
 from .common import format_table, series_stats
 from .fig2_proxy import Fig2Config, Fig2Result, compare_fig2, run_fig2
 from .fig3_one_rpf import Fig3Config, Fig3Result, compare_fig3, run_fig3
@@ -44,6 +49,6 @@ __all__ = [
     "compare_fig8",
     "PAPER_TABLE", "REQUIREMENTS", "render_paper_table", "run_probes",
     "ablate_pathlet_granularity", "ablate_feedback_types",
-    "ablate_message_atomicity",
+    "ablate_message_atomicity", "ablate_fig5_feedback",
     "format_table", "series_stats", "sweep_map",
 ]

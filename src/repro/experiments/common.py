@@ -2,28 +2,27 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, NamedTuple, Optional, Sequence,
+                    Tuple)
 
-from ..core.pathlets import EcnFeedbackSource, FeedbackSource, PathletRegistry
-from ..net.link import Port
+from ..core.pathlets import PathletRegistry
 from ..net.node import Switch
-from ..sim.units import GBPS, format_rate
 
-__all__ = ["register_pathlets", "attach_exclusion_lookup", "format_table",
+__all__ = ["Claim", "attach_exclusion_lookup", "format_table",
            "series_stats"]
 
 
-def register_pathlets(registry: PathletRegistry, ports: Iterable[Port],
-                      source_factory=None,
-                      tc_classifier=None) -> List[int]:
-    """Register each port as its own pathlet; returns the ids in order.
+class Claim(NamedTuple):
+    """One of the paper's shape claims, checked against a run's results.
 
-    ``source_factory(port) -> FeedbackSource`` defaults to a 20-packet ECN
-    source, matching the experiments' switch configuration.
+    ``name`` is the check with its threshold ("MTP goodput > 1.25x
+    DCTCP"), ``paper`` what the paper (or, for fig8, this reproduction)
+    states, and ``holds(results, config)`` the predicate.
     """
-    factory = source_factory or (lambda port: EcnFeedbackSource(20))
-    return [registry.register(port, factory(port), tc_classifier)
-            for port in ports]
+
+    name: str
+    paper: str
+    holds: Callable[[Any, Any], bool]
 
 
 def attach_exclusion_lookup(switch: Switch,
@@ -68,7 +67,3 @@ def series_stats(series: Sequence[Tuple[int, float]],
         "cov": std / mean if mean else 0.0,
     }
 
-
-def gbps_str(rate_bps: float) -> str:
-    """Format a rate for report rows."""
-    return f"{rate_bps / GBPS:.2f}"

@@ -15,13 +15,14 @@ goodput, the two axes of the paper's figure.
 
 from __future__ import annotations
 
+import copy
 from typing import List, Optional, Tuple
 
 from ..net import PeriodicSampler, build_proxy_chain
 from ..offloads.proxy import TcpProxy
 from ..sim import Simulator, gbps, microseconds, milliseconds
 from ..transport import ConnectionCallbacks, TcpStack
-from .common import series_stats
+from .common import Claim, format_table
 
 __all__ = ["Fig2Config", "Fig2Result", "run_fig2", "compare_fig2"]
 
@@ -62,10 +63,6 @@ class Fig2Result:
     @property
     def peak_buffer_bytes(self) -> float:
         return max((value for _, value in self.buffer_series), default=0.0)
-
-    @property
-    def final_buffer_bytes(self) -> float:
-        return self.buffer_series[-1][1] if self.buffer_series else 0.0
 
     @property
     def server_goodput_bps(self) -> float:
@@ -122,19 +119,49 @@ def run_fig2(config: Optional[Fig2Config] = None,
                       client_conn.snd_una, config.duration_ns)
 
 
+#: The limited mode's proxy buffer bound.
+LIMIT_BYTES = 256 * 1024
+
+
 def compare_fig2(config: Optional[Fig2Config] = None,
-                 limited_buffer_bytes: int = 256 * 1024):
+                 limited_buffer_bytes: int = LIMIT_BYTES):
     """Run both modes on the same configuration; returns a dict by mode."""
     base = config or Fig2Config()
-    unlimited = run_fig2(base)
-    limited_config = Fig2Config(
-        client_rate_bps=base.client_rate_bps,
-        server_rate_bps=base.server_rate_bps,
-        link_delay_ns=base.link_delay_ns,
-        transfer_bytes=base.transfer_bytes,
-        duration_ns=base.duration_ns,
-        sample_interval_ns=base.sample_interval_ns,
-        buffer_limit=limited_buffer_bytes,
-        tcp_min_rto_ns=base.tcp_min_rto_ns)
-    limited = run_fig2(limited_config)
-    return {"unlimited": unlimited, "limited": limited}
+    limited_config = copy.copy(base)
+    limited_config.buffer_limit = limited_buffer_bytes
+    return {"unlimited": run_fig2(base), "limited": run_fig2(limited_config)}
+
+
+FULL = Fig2Config(duration_ns=milliseconds(3))
+QUICK = Fig2Config(duration_ns=milliseconds(1.5))
+
+def report(results) -> str:
+    rows = [[result.mode, f"{result.peak_buffer_bytes / 1e6:.2f}",
+             f"{result.buffer_growth_bps() / 1e9:.1f}",
+             f"{result.client_goodput_bps / 1e9:.1f}",
+             f"{result.server_goodput_bps / 1e9:.1f}"]
+            for result in results.values()]
+    return format_table(
+        ["mode", "peak buffer (MB)", "growth (Gbps)", "client (Gbps)",
+         "server (Gbps)"], rows,
+        title="Figure 2: TCP termination at a 100->40 Gbps proxy")
+
+
+CLAIMS = (
+    Claim("unlimited buffer grows > 0.6x the rate mismatch",
+          "without a window limit the proxy buffers the 100-40 Gbps "
+          "difference",
+          lambda r, c: r["unlimited"].buffer_growth_bps()
+          > 0.6 * (c.client_rate_bps - c.server_rate_bps)),
+    Claim("limited peak buffer < 4x the limit",
+          "a limited receive window bounds the proxy buffer",
+          lambda r, c: r["limited"].peak_buffer_bytes < 4 * LIMIT_BYTES),
+    Claim("limited client goodput < 0.6x unlimited",
+          "the bounded buffer head-of-line blocks the fast client",
+          lambda r, c: r["limited"].client_goodput_bps
+          < 0.6 * r["unlimited"].client_goodput_bps),
+    Claim("limited server goodput > 0.8x the server rate",
+          "the window limit still keeps the slow side busy",
+          lambda r, c: r["limited"].server_goodput_bps
+          > 0.8 * c.server_rate_bps),
+)

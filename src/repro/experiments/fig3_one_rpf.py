@@ -7,8 +7,8 @@ is noisy and the link underutilized.  A persistent connection per host
 (many requests per flow) keeps congestion state and fills the link — but,
 as Section 2 argues, then loses inter-message independence.
 
-The driver runs one mode and reports the throughput time series; the
-benchmark compares "per_message" against "persistent".
+The driver runs one mode and reports the throughput time series;
+:func:`compare_fig3` runs "per_message" against "persistent".
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 from ..net import DropTailQueue, RateMonitor, build_dumbbell
 from ..sim import Simulator, gbps, microseconds, milliseconds
 from ..transport import ConnectionCallbacks, TcpStack
-from .common import series_stats
+from .common import Claim, format_table, series_stats
 
 __all__ = ["Fig3Config", "Fig3Result", "run_fig3", "compare_fig3"]
 
@@ -152,3 +152,33 @@ def compare_fig3(config: Optional[Fig3Config] = None):
     config = config or Fig3Config()
     return {mode: run_fig3(mode, config)
             for mode in ("per_message", "persistent")}
+
+
+FULL = Fig3Config(duration_ns=milliseconds(3))
+QUICK = Fig3Config(duration_ns=milliseconds(2))
+
+
+def report(results) -> str:
+    rows = [[result.mode, f"{result.mean_throughput_bps / 1e9:.1f}",
+             f"{result.throughput_cov:.3f}", result.messages_completed]
+            for result in results.values()]
+    return format_table(
+        ["mode", "mean throughput (Gbps)", "CoV", "messages"], rows,
+        title="Figure 3: 16KB messages, connection-per-message vs "
+              "persistent")
+
+
+CLAIMS = (
+    Claim("per-message throughput < 0.95x persistent",
+          "a connection per message underutilizes the link",
+          lambda r, c: r["per_message"].mean_throughput_bps
+          < 0.95 * r["persistent"].mean_throughput_bps),
+    Claim("per-message CoV > persistent CoV",
+          "without congestion history throughput is noisy",
+          lambda r, c: r["per_message"].throughput_cov
+          > r["persistent"].throughput_cov),
+    Claim("per-message completes fewer messages",
+          "handshakes and slow start cost completed requests",
+          lambda r, c: r["per_message"].messages_completed
+          < r["persistent"].messages_completed),
+)

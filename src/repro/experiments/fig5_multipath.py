@@ -23,7 +23,7 @@ from ..core import (BlobReceiver, BlobSender, DelayFeedbackSource,
 from ..net import (AlternatingSelector, DropTailQueue, Network, RateMonitor)
 from ..sim import Simulator, gbps, microseconds, milliseconds
 from ..transport import ConnectionCallbacks, TcpStack
-from .common import series_stats
+from .common import Claim, format_table, series_stats
 
 __all__ = ["Fig5Config", "Fig5Result", "run_fig5", "compare_fig5"]
 
@@ -81,21 +81,6 @@ class Fig5Result:
     @property
     def mean_goodput_bps(self) -> float:
         return self.stats["mean"]
-
-    def mean_convergence_ns(self) -> Optional[float]:
-        """Average per-phase time to reach 80% of the phase plateau.
-
-        The paper's second Figure-5 claim: MTP converges faster after each
-        path flip.  ``None`` when no phase ever converged.
-        """
-        from ..stats import convergence_times
-        times = convergence_times(self.series, self.config.flip_period_ns,
-                                  target_fraction=0.8,
-                                  start_ns=self.config.warmup_ns)
-        converged = [time for time in times if time is not None]
-        if not converged:
-            return None
-        return sum(converged) / len(converged)
 
     def unconverged_phases(self) -> int:
         """How many flip phases never reached 80% of their plateau."""
@@ -215,3 +200,39 @@ def compare_fig5(config: Optional[Fig5Config] = None
     config = config or Fig5Config()
     return {protocol: run_fig5(protocol, config)
             for protocol in ("dctcp", "mtp")}
+
+
+FULL = Fig5Config(duration_ns=milliseconds(6))
+QUICK = Fig5Config(duration_ns=milliseconds(4))
+
+
+def report(results) -> str:
+    rows = [[result.protocol, f"{result.mean_goodput_bps / 1e9:.2f}",
+             f"{result.stats['cov']:.2f}", result.unconverged_phases()]
+            for result in results.values()]
+    gain = (results["mtp"].mean_goodput_bps
+            / results["dctcp"].mean_goodput_bps - 1) * 100
+    return format_table(
+        ["protocol", "mean goodput (Gbps)", "CoV", "unconverged phases"],
+        rows,
+        title=f"Figure 5: alternating 100<->10 Gbps paths (MTP "
+              f"{gain:+.0f}% vs DCTCP, paper +33%)")
+
+
+CLAIMS = (
+    Claim("MTP goodput > 1.25x DCTCP",
+          "MTP beats DCTCP by ~33% when paths flip",
+          lambda r, c: r["mtp"].mean_goodput_bps
+          > 1.25 * r["dctcp"].mean_goodput_bps),
+    Claim("MTP goodput > 35 Gbps",
+          "MTP approaches the 55 Gbps time-average capacity",
+          lambda r, c: r["mtp"].mean_goodput_bps > 35e9),
+    Claim("DCTCP goodput > 5 Gbps", "DCTCP still makes progress",
+          lambda r, c: r["dctcp"].mean_goodput_bps > 5e9),
+    Claim("MTP converges in every phase",
+          "per-pathlet windows converge after every flip",
+          lambda r, c: r["mtp"].unconverged_phases() == 0),
+    Claim("DCTCP misses some phase",
+          "in some cases TCP may not converge at all",
+          lambda r, c: r["dctcp"].unconverged_phases() > 0),
+)

@@ -33,6 +33,7 @@ from ..sim import (KIB, MIB, SeedSequence, Simulator, gbps, microseconds,
                    milliseconds)
 from ..stats import FctCollector
 from ..transport import ConnectionCallbacks, TcpStack
+from .common import Claim, format_table
 
 __all__ = ["Fig6Config", "Fig6Result", "run_fig6", "compare_fig6",
            "SYSTEMS"]
@@ -200,3 +201,35 @@ def compare_fig6(config: Optional[Fig6Config] = None
     """Run all three systems on the identical workload."""
     config = config or Fig6Config()
     return {system: run_fig6(system, config) for system in SYSTEMS}
+
+
+FULL = Fig6Config(duration_ns=milliseconds(8))
+QUICK = Fig6Config(duration_ns=milliseconds(5))
+
+
+def report(results) -> str:
+    rows = [[result.system, result.messages_offered,
+             result.messages_completed,
+             f"{result.p50_fct_ns() / 1e3:.0f}",
+             f"{result.p99_fct_ns() / 1e3:.0f}"]
+            for result in results.values()]
+    return format_table(
+        ["system", "offered", "completed", "p50 FCT (us)", "p99 FCT (us)"],
+        rows, title="Figure 6: load balancers over two 100 Gbps paths")
+
+
+def _completes(system: str):
+    return Claim(f"{system} completes >= 95% of offered",
+                 "every system carries the offered load",
+                 lambda r, c: r[system].messages_completed
+                 >= 0.95 * r[system].messages_offered)
+
+
+CLAIMS = (
+    Claim("mtp_lb p99 < ecmp p99",
+          "hash collisions give ECMP a longer tail than MTP",
+          lambda r, c: r["mtp_lb"].p99_fct_ns() < r["ecmp"].p99_fct_ns()),
+    Claim("mtp_lb p99 < spray p99",
+          "reordering gives spraying a longer tail than MTP",
+          lambda r, c: r["mtp_lb"].p99_fct_ns() < r["spray"].p99_fct_ns()),
+) + tuple(_completes(system) for system in SYSTEMS)

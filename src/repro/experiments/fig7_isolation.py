@@ -17,15 +17,15 @@ The driver reports per-tenant goodput and the Jain fairness index.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from ..core import BlobReceiver, BlobSender, EcnFeedbackSource, MtpStack, \
-    PathletRegistry
+from ..core import BlobSender, EcnFeedbackSource, MtpStack, PathletRegistry
 from ..net import Network, RateMonitor
 from ..policies import TrafficClassMap, isolation_queue_factory
 from ..sim import Simulator, gbps, microseconds, milliseconds
 from ..stats import jain_fairness
 from ..transport import ConnectionCallbacks, TcpStack
+from .common import Claim, format_table
 
 __all__ = ["Fig7Config", "Fig7Result", "run_fig7", "compare_fig7",
            "SYSTEMS"]
@@ -170,3 +170,44 @@ def compare_fig7(config: Optional[Fig7Config] = None
     """Run all three systems with identical tenant workloads."""
     config = config or Fig7Config()
     return {system: run_fig7(system, config) for system in SYSTEMS}
+
+
+FULL = Fig7Config(duration_ns=milliseconds(4))
+QUICK = Fig7Config(duration_ns=milliseconds(3))
+
+
+def report(results) -> str:
+    rows = [[result.system,
+             f"{result.tenant_goodput_bps['tenant1'] / 1e9:.1f}",
+             f"{result.tenant_goodput_bps['tenant2'] / 1e9:.1f}",
+             f"{result.throughput_ratio():.2f}",
+             f"{result.fairness:.3f}"]
+            for result in results.values()]
+    return format_table(
+        ["system", "tenant1 (Gbps)", "tenant2 (Gbps)", "t2/t1", "Jain"],
+        rows,
+        title="Figure 7: per-entity isolation, tenant2 runs 8x streams")
+
+
+def _utilization(system: str):
+    return Claim(f"{system} uses > 70% of the bottleneck",
+                 "the link stays utilized",
+                 lambda r, c: sum(r[system].tenant_goodput_bps.values())
+                 > 0.7 * c.bottleneck_rate_bps)
+
+
+CLAIMS = (
+    Claim("shared t2/t1 > 4",
+          "a shared queue hands tenant2 about its 8x stream ratio",
+          lambda r, c: r["shared"].throughput_ratio() > 4.0),
+    Claim("separate t2/t1 in (0.7, 1.4)",
+          "per-tenant queues restore a ~50/50 split",
+          lambda r, c: 0.7 < r["separate"].throughput_ratio() < 1.4),
+    Claim("fair_share t2/t1 in (0.7, 1.4)",
+          "MTP's fair-share queue restores a ~50/50 split",
+          lambda r, c: 0.7 < r["fair_share"].throughput_ratio() < 1.4),
+    Claim("separate Jain > 0.95", "per-tenant queues are fair",
+          lambda r, c: r["separate"].fairness > 0.95),
+    Claim("fair_share Jain > 0.95", "MTP's fair-share queue is fair",
+          lambda r, c: r["fair_share"].fairness > 0.95),
+) + tuple(_utilization(system) for system in SYSTEMS)

@@ -41,7 +41,8 @@ from ..core import BlobSender, EcnFeedbackSource, MtpStack, PathletRegistry
 from ..net import DropTailQueue, FailoverSelector, Network, Packet
 from ..sim import Simulator, gbps, microseconds, milliseconds
 from ..transport import ConnectionCallbacks, TcpStack
-from .common import attach_exclusion_lookup, series_stats
+from .common import (Claim, attach_exclusion_lookup, format_table,
+                     series_stats)
 
 __all__ = ["Fig8Config", "Fig8Result", "TelemetryOffload", "run_fig8",
            "compare_fig8"]
@@ -279,3 +280,51 @@ def compare_fig8(config: Optional[Fig8Config] = None
     config = config or Fig8Config()
     return {protocol: run_fig8(protocol, config)
             for protocol in ("dctcp", "mtp")}
+
+
+FULL = Fig8Config(duration_ns=milliseconds(6))
+QUICK = Fig8Config(duration_ns=milliseconds(5))
+
+
+def report(results) -> str:
+    rows = []
+    for result in results.values():
+        verdict = result.recovery("link_down")
+        ttr = result.link_down_ttr_ns
+        rows.append([
+            result.protocol,
+            f"{ttr / 1e3:.0f}" if ttr is not None else "never",
+            f"{verdict.dip_bps / 1e9:.2f}" if verdict else "-",
+            verdict.retx_storm if verdict else "-",
+            f"{result.mean_goodput_bps / 1e9:.1f}",
+            "OK" if result.conservation and result.conservation.ok
+            else "LEAK"])
+    telemetry = results["mtp"].telemetry
+    return format_table(
+        ["protocol", "TTR (us)", "dip (Gbps)", "retx storm",
+         "goodput (Gbps)", "ledger"], rows,
+        title="Figure 8: primary-link failure, offload migration, "
+              "corruption window") + (
+        f"\ntelemetry offload: {telemetry.packets} packets counted "
+        f"across {len(telemetry.migrations)} migration(s) "
+        f"{telemetry.migrations}")
+
+
+def _recovers_faster(results) -> bool:
+    tcp_ttr = results["dctcp"].link_down_ttr_ns
+    mtp_ttr = results["mtp"].link_down_ttr_ns
+    return mtp_ttr is not None and (tcp_ttr is None or mtp_ttr < tcp_ttr)
+
+
+def _ledger_ok(protocol: str):
+    return Claim(f"{protocol} ledger accounts for every packet",
+                 "faults drop packets only with a recorded reason",
+                 lambda r, c: r[protocol].conservation is not None
+                 and r[protocol].conservation.ok)
+
+
+CLAIMS = (
+    Claim("MTP TTR < DCTCP TTR after the link failure",
+          "pathlet-scoped state makes recovery local and fast",
+          lambda r, c: _recovers_faster(r)),
+) + tuple(_ledger_ok(protocol) for protocol in ("dctcp", "mtp"))

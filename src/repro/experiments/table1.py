@@ -16,11 +16,11 @@ from ..core import (EcnFeedbackSource, MtpStack, PathletRegistry)
 from ..net import DropTailQueue, Network
 from ..offloads import InNetworkCache, MutatingOffload, compressor
 from ..sim import Simulator, gbps, microseconds, milliseconds
-from .common import format_table
+from .common import Claim, format_table
 
 __all__ = ["REQUIREMENTS", "PAPER_TABLE", "render_paper_table",
            "run_probes", "PROBES", "run_baseline_probes",
-           "BASELINE_LIMIT_PROBES"]
+           "BASELINE_LIMIT_PROBES", "run_table1"]
 
 #: The five transport-level requirements of Section 2.2, in table order.
 REQUIREMENTS = (
@@ -334,7 +334,8 @@ PROBES: Dict[str, Tuple[str, Callable[[], bool]]] = {
         "compression offload mutates an MTP message in flight",
         probe_mtp_mutation),
     "low_buffering": (
-        "offloads stay within a fixed buffer budget; cache state is O(capacity)",
+        "offloads stay within a fixed buffer budget; cache state is "
+        "O(capacity)",
         lambda: probe_mtp_bounded_buffering() and probe_cache_bounded_state()),
     "inter_message_independence": (
         "a later small message completes before an earlier elephant",
@@ -352,3 +353,28 @@ def run_probes() -> Dict[str, bool]:
     """Execute every MTP capability probe; returns requirement -> passed."""
     return {requirement: probe()
             for requirement, (_, probe) in PROBES.items()}
+
+
+def run_table1(config=None) -> Dict[str, Dict[str, bool]]:
+    """Both probe sets; Table 1 has no scale, so ``config`` is unused."""
+    return {"mtp": run_probes(), "baseline": run_baseline_probes()}
+
+
+FULL = QUICK = None
+
+
+def report(results) -> str:
+    return render_paper_table()
+
+
+def _probe_claim(column: str, name: str, description: str) -> Claim:
+    return Claim(name, description, lambda r, c: r[column][name])
+
+
+#: One claim per MTP capability probe, then one per baseline
+#: counterexample (a confirmed limitation of that baseline's x cell).
+CLAIMS = tuple(
+    _probe_claim("mtp", requirement, description)
+    for requirement, (description, _) in PROBES.items()) + tuple(
+    _probe_claim("baseline", name, description)
+    for name, (description, _) in BASELINE_LIMIT_PROBES.items())

@@ -79,7 +79,7 @@ class Port:
         self._deliver_event = self._deliver
 
     def send(self, packet: Packet) -> bool:
-        """Queue ``packet`` for transmission; returns False when it was dropped."""
+        """Queue ``packet`` for transmission; False when it was dropped."""
         if self.peer is None:
             raise RuntimeError(f"port {self.name} is not connected")
         if not self.up:
@@ -123,7 +123,7 @@ class Port:
 
     @property
     def queue_length(self) -> int:
-        """Packets waiting in the egress queue (excludes the one on the wire)."""
+        """Packets waiting in the egress queue (not the one on the wire)."""
         return len(self.queue)
 
     @property

@@ -67,7 +67,7 @@ class Node:
         self.counters = Counter(self, PACKET_COUNTERS)
 
     def attach_port(self, port: "Port") -> None:
-        """Register a newly created port (called by :class:`~repro.net.link.Link`)."""
+        """Register a new port (called by :class:`~repro.net.link.Link`)."""
         self.ports.append(port)
 
     def receive(self, packet: Packet, ingress: "Port") -> None:
@@ -93,7 +93,8 @@ class Host(Node):
         self._protocols: Dict[str, ProtocolHandler] = {}
         self._routes: Dict[int, "Port"] = {}
 
-    def register_protocol(self, protocol: str, handler: ProtocolHandler) -> None:
+    def register_protocol(self, protocol: str,
+                          handler: ProtocolHandler) -> None:
         """Attach a transport endpoint for packets labelled ``protocol``."""
         self._protocols[protocol] = handler
 
@@ -102,7 +103,7 @@ class Host(Node):
         return self._protocols[name]
 
     def add_route(self, dst_address: int, port: "Port") -> None:
-        """Pin traffic for ``dst_address`` to a specific port (multihomed hosts)."""
+        """Pin traffic for ``dst_address`` to one port (multihomed hosts)."""
         self._routes[dst_address] = port
 
     def egress_port(self, dst_address: int) -> "Port":
@@ -180,7 +181,7 @@ class Switch(Node):
         self.processors.append(processor)
 
     def candidate_ports(self, dst_address: int) -> List["Port"]:
-        """Candidate egress ports for ``dst_address`` (raises if unroutable)."""
+        """Candidate egress ports for ``dst_address`` (raises if none)."""
         candidates = self._table.get(dst_address)
         if candidates is None:
             raise LookupError(

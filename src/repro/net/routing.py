@@ -32,7 +32,7 @@ class PortSelector(Protocol):
 
     def select(self, packet: Packet, candidates: Sequence["Port"],
                now: int) -> "Port":
-        """Pick one of ``candidates`` for ``packet`` at virtual time ``now``."""
+        """Pick one of ``candidates`` for ``packet`` at virtual ``now``."""
 
 
 class EcmpSelector:

@@ -109,7 +109,7 @@ class MutatingOffload:
 
     def process(self, packet: Packet, switch: Switch,
                 ingress: Port) -> Optional[List[Packet]]:
-        """Absorb matching data packets; emit the mutated message when whole."""
+        """Absorb matching data packets; emit the mutated message whole."""
         if packet.protocol != "mtp":
             return None
         header = packet.header

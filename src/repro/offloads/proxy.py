@@ -146,7 +146,7 @@ class TcpProxy(Host):
         self.server_address = server_address
 
     def total_buffered_bytes(self) -> int:
-        """Aggregate proxy buffer occupancy across sessions (Figure 2's y-axis)."""
+        """Proxy buffer occupancy summed over sessions (Figure 2's y-axis)."""
         return sum(session.buffered_bytes for session in self.sessions)
 
     def _accept(self, client_conn: TcpConnection) -> ConnectionCallbacks:

@@ -195,7 +195,8 @@ class Simulator:
                  *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now."""
         if delay < 0:
-            raise SimulationError(f"cannot schedule into the past: delay={delay}")
+            raise SimulationError(
+                f"cannot schedule into the past: delay={delay}")
         return self.at(self._now + delay, callback, *args)
 
     def at(self, time: int, callback: Callable[..., None],
@@ -221,7 +222,8 @@ class Simulator:
         :meth:`schedule`, including FIFO ordering within a tick.
         """
         if delay < 0:
-            raise SimulationError(f"cannot schedule into the past: delay={delay}")
+            raise SimulationError(
+                f"cannot schedule into the past: delay={delay}")
         heapq.heappush(self._queue,
                        (self._now + delay, self._seq, callback, args))
         self._seq += 1
@@ -247,7 +249,7 @@ class Simulator:
         self._event_hooks.remove(hook)
 
     def _note_cancelled(self) -> None:
-        """Record that a queued event was lazily cancelled (see EventHandle)."""
+        """Record that a queued event was lazily cancelled (EventHandle)."""
         self._cancelled += 1
 
     def _compact(self) -> None:
@@ -262,7 +264,7 @@ class Simulator:
         self._cancelled = 0
 
     def peek_time(self) -> Optional[int]:
-        """Time of the next pending event, or None when the queue is drained."""
+        """Time of the next pending event, or None when the queue is empty."""
         queue = self._queue
         if (self._cancelled > COMPACT_MIN_CANCELLED
                 and self._cancelled * 2 > len(queue)):
@@ -405,7 +407,7 @@ class Timer:
         self._handle = self._sim.schedule(delay, self._fire)
 
     def restart(self, delay: int) -> None:
-        """(Re)arm the timer ``delay`` ns from now, superseding any pending expiry."""
+        """(Re)arm ``delay`` ns from now, superseding any pending expiry."""
         deadline = self._sim._now + delay
         handle = self._handle
         if (handle is not None and not handle.cancelled

@@ -46,7 +46,9 @@ class SeedSequence:
     def _derive(self, name: str) -> int:
         # crc32 of the name mixed with the root seed: stable across runs and
         # Python versions (unlike hash(), which is salted).
-        return (self.root_seed * 0x9E3779B1 + zlib.crc32(name.encode())) % (2 ** 63)
+        return ((self.root_seed * 0x9E3779B1 + zlib.crc32(name.encode()))
+                % (2 ** 63))
 
     def __repr__(self) -> str:
-        return f"<SeedSequence root={self.root_seed} streams={sorted(self._streams)}>"
+        return (f"<SeedSequence root={self.root_seed} "
+                f"streams={sorted(self._streams)}>")

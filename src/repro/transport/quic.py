@@ -293,7 +293,7 @@ class QuicConnection:
         header.ack_ranges = [tuple(r) for r in self._recv_ranges[-8:]]
         self._transmit(header, DEFAULT_HEADER_BYTES)
 
-    # -- receiving ------------------------------------------------------------
+    # -- receiving ----------------------------------------------------------
 
     def _handle(self, packet: Packet, header: QuicHeader) -> None:
         if header.is_initial and not self.is_client:
@@ -362,7 +362,7 @@ class QuicConnection:
                 stream.finished = False  # fire the hook exactly once
                 self.on_stream_finished(self, stream)
 
-    # -- acknowledgement & loss ------------------------------------------------
+    # -- acknowledgement & loss ---------------------------------------------
 
     def _handle_acks(self, header: QuicHeader) -> None:
         newly_acked_bytes = 0

@@ -80,15 +80,15 @@ class TcpHeader:
 
 
 class TcpStack(TransportStack):
-    """Per-host TCP: demultiplexes segments to connections, accepts on listen."""
+    """Per-host TCP: demuxes segments to connections, accepts on listen."""
 
     protocol_name = "tcp"
 
     def __init__(self, host: Host):
         super().__init__(host)
         self._connections: Dict[Tuple[int, int, int], "TcpConnection"] = {}
-        self._listeners: Dict[int, Tuple[Callable[["TcpConnection"],
-                                                  ConnectionCallbacks], dict]] = {}
+        self._listeners: Dict[int, Tuple[
+            Callable[["TcpConnection"], ConnectionCallbacks], dict]] = {}
         self._next_port = 10_000
 
     def listen(self, port: int,
@@ -105,7 +105,7 @@ class TcpStack(TransportStack):
     def connect(self, dst_address: int, dst_port: int,
                 callbacks: Optional[ConnectionCallbacks] = None,
                 **options) -> "TcpConnection":
-        """Open a connection; returns immediately, established asynchronously."""
+        """Open a connection; returns at once, connects asynchronously."""
         local_port = self._allocate_port()
         conn = TcpConnection(self, local_port, dst_address, dst_port,
                              callbacks or ConnectionCallbacks(), **options)

@@ -4,8 +4,9 @@ The kernel has one event store, so the differential is between two runs
 of the same seeded experiment in one process, made with the replay
 machinery (:func:`~repro.analysis.check_replay`): the digests over every
 executed event's ``(time, kind, packet-uid)`` must match byte-for-byte on
-the paper's own workloads, and so must the experiments' own results.  The sanitizing subclass is
-also checked against the plain kernel, event for event.
+the paper's own workloads, and so must the experiments' own results.
+The sanitizing subclass is also checked against the plain kernel, event
+for event.
 fig8 runs under a compressed chaos schedule (link flap, offload
 migration, corruption window) so the adversity path is covered too.
 """

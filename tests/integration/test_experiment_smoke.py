@@ -1,7 +1,8 @@
 """Smoke tests: every experiment driver runs end to end at tiny scale.
 
-The benchmarks run the full configurations; these keep the drivers honest
-inside the fast test suite (wiring, result objects, edge cases).
+The benchmarks run the full configurations and
+``test_experiment_claims.py`` the quick ones; these keep the drivers
+honest at tiny scale (wiring, result objects, edge cases).
 """
 
 import pytest
@@ -10,7 +11,8 @@ from repro.experiments import (Fig2Config, Fig3Config, Fig5Config,
                                Fig6Config, Fig7Config, Fig8Config,
                                compare_fig2, compare_fig8, run_fig3,
                                run_fig5, run_fig6, run_fig7, run_fig8,
-                               render_paper_table, run_probes)
+                               render_paper_table)
+from repro.experiments.common import Claim
 from repro.sim import microseconds, milliseconds
 
 
@@ -141,9 +143,6 @@ class TestTable1Driver:
         for row in ("MTP (this work)", "DCTCP", "RDMA UD", "QUIC"):
             assert row in table
 
-    def test_probes_all_pass(self):
-        assert all(run_probes().values())
-
 
 class TestCliRunner:
     def test_cli_quick_subset(self, capsys):
@@ -151,8 +150,22 @@ class TestCliRunner:
         assert main(["--quick", "table1"]) == 0
         out = capsys.readouterr().out
         assert "MTP (this work)" in out
-        assert "PASS" in out
-        assert "CONFIRMED" in out  # baseline counterexamples ran too
+        assert "[PASS] data_mutation" in out
+        assert "[PASS] udp_no_cc" in out  # baseline counterexamples ran too
+        assert "[FAIL]" not in out
+
+    def test_cli_fails_on_false_claim(self, capsys, monkeypatch):
+        from repro.experiments.__main__ import main
+        from repro.experiments.registry import EXPERIMENTS
+        table1 = EXPERIMENTS["table1"]
+        false = Claim("never holds", "a claim the run cannot meet",
+                      lambda results, config: False)
+        monkeypatch.setitem(EXPERIMENTS, "table1", table1._replace(
+            claims=table1.claims[:1] + (false,)))
+        assert main(["--quick", "table1"]) == 1
+        out = capsys.readouterr().out
+        assert "  [PASS] data_mutation: " in out
+        assert "  [FAIL] never holds: a claim the run cannot meet" in out
 
     def test_cli_rejects_unknown_experiment(self, capsys):
         from repro.experiments.__main__ import main

@@ -59,7 +59,8 @@ class TestSwiftTransfer:
         apps = []
         for port in (80, 81):
             app = TransferApp(sim)
-            stack_b.listen(port, lambda conn, app=app: app.receiver_callbacks(),
+            stack_b.listen(port,
+                           lambda conn, app=app: app.receiver_callbacks(),
                            variant="swift")
             stack_a.connect(b.address, port, app.sender_callbacks(800_000),
                             variant="swift")

@@ -65,7 +65,8 @@ class TestTransfer:
         apps = []
         for port in (80, 81):
             app = TransferApp(sim)
-            stack_b.listen(port, lambda conn, app=app: app.receiver_callbacks())
+            stack_b.listen(port,
+                           lambda conn, app=app: app.receiver_callbacks())
             stack_a.connect(b.address, port, app.sender_callbacks(500_000))
             apps.append(app)
         sim.run(until=milliseconds(100))

@@ -1,4 +1,4 @@
-"""Links, ports, hosts, switches: delivery, timing, forwarding, offload hooks."""
+"""Links, ports, hosts, switches: delivery, timing, forwarding, offloads."""
 
 import pytest
 

@@ -1,4 +1,4 @@
-"""Selectors and topology builders: ECMP pinning, spraying, alternation, routes."""
+"""Selectors and topology builders: ECMP, spraying, alternation, routes."""
 
 from repro.net import (AlternatingSelector, EcmpSelector, LeastQueuedSelector,
                        Network, Packet, PacketSpraySelector, build_dumbbell,

@@ -100,8 +100,8 @@ class TestMessageWorkload:
         count = [0]
         workload = MessageWorkload(sim, rng, FixedSize(100),
                                    UniformArrivals(1000),
-                                   lambda size: count.__setitem__(0,
-                                                                  count[0] + 1),
+                                   lambda size: count.__setitem__(
+                                       0, count[0] + 1),
                                    stop_at_ns=5000)
         workload.start()
         sim.run(until=milliseconds(1))
